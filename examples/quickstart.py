@@ -129,8 +129,8 @@ def main() -> None:
     # 7. The exact probabilistic Voronoi diagram V_Pr (Theorem 4.2): for
     #    all-discrete indexes, build_vpr() runs the whole construction —
     #    bisectors, arrangement, and per-face Eq. (2) labeling — through
-    #    the batched NumPy pipeline (~5x the pure-Python reference build,
-    #    bitwise-identical diagrams; build_mode="scalar" keeps the oracle).
+    #    one batched NumPy pipeline (~5x the pure-Python construction,
+    #    which tests keep as a bitwise reference in repro.oracles).
     #    Queries go through precomputed cells: query_batch answers a whole
     #    array, exactly, inside and outside the window.
     vpr = tracked.build_vpr()

@@ -229,7 +229,16 @@ def _parse_point(value: object) -> Tuple[float, float]:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
                        for c in value)):
         raise ValueError("a query point must be a [x, y] number pair")
-    return float(value[0]), float(value[1])
+    x, y = float(value[0]), float(value[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        # Literals like 1e400 parse to +-inf.
+        raise ValueError("a query point must have finite coordinates")
+    return x, y
+
+
+def _reject_constant(name: str) -> object:
+    """``json.loads`` hook: ``NaN`` / ``Infinity`` are not JSON numbers."""
+    raise ValueError(f"non-finite number {name} is not valid JSON")
 
 
 # ----------------------------------------------------------------------
@@ -600,8 +609,10 @@ class QueryGateway:
     async def _query_response(self, kind: str, body: bytes,
                               headers: Dict[str, str]) -> Tuple[int, Dict]:
         try:
-            doc = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = (json.loads(body.decode("utf-8"),
+                              parse_constant=_reject_constant)
+                   if body else {})
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             return 400, {"error": f"invalid JSON body: {exc}"}
         if not isinstance(doc, dict):
             return 400, {"error": "body must be a JSON object"}
@@ -688,9 +699,9 @@ class QueryGateway:
         }
         vpr_info = getattr(self.service, "vpr_info", None)
         if vpr_info is not None:
-            # The V_Pr serving posture: locator kind, whether a diagram
-            # is built, whether its plane is encoded and actually served
-            # by the live backend's workers (zero per-worker rebuilds).
+            # The V_Pr serving posture: whether a diagram is built,
+            # whether its plane is encoded and actually served by the
+            # live backend's workers (zero per-worker rebuilds).
             doc["vpr"] = vpr_info()
         if self.warm_error is not None:
             doc["status"] = "warmup-failed"
@@ -952,17 +963,10 @@ def render_prometheus(gateway: QueryGateway) -> str:
         w.sample("repro_vpr_plane_resident", {},
                  1 if info.get("plane_served") else 0)
         stats = info.get("locator_stats") or {}
-        w.family("repro_vpr_locator", "gauge",
-                 "Point-locator kind of the built V_Pr diagram "
-                 "(1 = active; locators answer bitwise identically).")
-        for kind in ("slab", "persistent"):
-            w.sample("repro_vpr_locator", {"kind": kind},
-                     1 if stats.get("kind") == kind else 0)
         if stats:
             w.family("repro_vpr_locator_bytes", "gauge",
-                     "Locator structure size in bytes (the slab table "
-                     "is Theta(V^2) worst case; the merged-slab "
-                     "persistent locator is O(V log V)).")
+                     "Locator structure size in bytes (the merged-slab "
+                     "locator is O(V log V)).")
             w.sample("repro_vpr_locator_bytes", {}, stats.get("nbytes", 0))
             w.family("repro_vpr_locator_entries", "gauge",
                      "Rows/entries held by the locator structure.")
@@ -1702,7 +1706,7 @@ def run_plane_smoke(backend: str = "process",
     """Shared-plane V_Pr serving self-test: build once, fan out, zero
     per-worker rebuilds.
 
-    Builds one persistent-locator ``V_Pr`` in the parent, serves
+    Builds one ``V_Pr`` in the parent, serves
     ``quantify_vpr`` over a plane-shipping pool backend (``process`` or
     ``shm``), and checks the whole story end to end:
 
@@ -1718,7 +1722,7 @@ def run_plane_smoke(backend: str = "process",
        (:attr:`~repro.core.index.PNNIndex.vpr_build_forbidden`), so a
        rebuild anywhere would either crash the request or show up here;
     4. ``/healthz`` reports the plane resident and ``/metrics`` exports
-       ``repro_vpr_plane_resident 1`` plus the locator families.
+       ``repro_vpr_plane_resident 1`` plus the locator size gauges.
 
     Returns a process exit code (0 = all checks passed).  The CI
     ``vpr-plane-smoke`` job runs it once per pool backend;
@@ -1744,9 +1748,6 @@ def run_plane_smoke(backend: str = "process",
     builds_before = ENGINE.get("vpr.builds")
     vpr = index.build_vpr()
     index.use_vpr(vpr)
-    check(vpr.locator_kind == "persistent",
-          f"diagram built with the persistent locator "
-          f"({vpr.locator_kind})")
     rng = random.Random(53)
     queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
                for _ in range(64)]
@@ -1806,8 +1807,6 @@ def run_plane_smoke(backend: str = "process",
         check(status == 200, f"/metrics returned {status}")
         check("repro_vpr_plane_resident 1" in raw,
               "/metrics exports repro_vpr_plane_resident 1")
-        check('repro_vpr_locator{kind="persistent"} 1' in raw,
-              "/metrics exports the persistent locator gauge")
         expected_builds = builds_before + 1
         check(f'repro_engine_events_total{{event="vpr.builds"}} '
               f'{expected_builds}' in raw,

@@ -47,6 +47,7 @@ then decide), never drop one.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +64,10 @@ from ..uncertain.gaussian import TruncatedGaussianPoint
 from ..uncertain.histogram import HistogramUncertainPoint
 from ..uncertain.polygon import ConvexPolygonUniformPoint
 
-__all__ = ["BatchQueryEngine", "SupportDiskPoint", "as_query_array"]
+__all__ = ["BatchQueryEngine", "SupportDiskPoint", "as_query_array",
+           "check_point"]
+
+_NON_FINITE = "query coordinates must be finite (no NaN or infinity)"
 
 
 def as_query_array(queries) -> np.ndarray:
@@ -72,14 +76,25 @@ def as_query_array(queries) -> np.ndarray:
     The shared input contract of every batch front door —
     :class:`BatchQueryEngine`, the serving layer, and the exact
     quantification engine all funnel through this one validator, so the
-    error message (and empty-input behaviour) stays uniform.
+    error message (and empty-input behaviour) stays uniform.  A NaN or
+    infinite coordinate raises :class:`ValueError`: the engines would
+    otherwise answer it wrongly in silence.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.size == 0:
         return q.reshape(0, 2)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError("queries must be an (m, 2) array of points")
+    if not np.isfinite(q).all():
+        raise ValueError(_NON_FINITE)
     return q
+
+
+def check_point(q) -> None:
+    """The scalar front doors' half of :func:`as_query_array`'s contract:
+    reject a query point with a NaN or infinite coordinate."""
+    if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+        raise ValueError(_NON_FINITE)
 
 # Below this many points the dense matrix kernels win outright.
 _DENSE_MAX_POINTS = 1024

@@ -1,8 +1,13 @@
 """Output-sensitive point location: a merged-slab interval tree.
 
-The slab oracle (:mod:`.pointlocation`) materializes one row per
-(edge, spanned-slab) pair — ``Theta(V * S)`` rows, the memory wall that
-caps how large a diagram can be served.  This module stores each edge
+Theorem 4.2 preprocesses the probabilistic Voronoi diagram ``V_Pr`` for
+point location so a query returns its cell (and hence its probability
+vector) in logarithmic time.  The classic slab method sorts the
+arrangement's vertex x-coordinates into slabs and stores, per slab, the
+edges spanning it in y order — one row per (edge, spanned-slab) pair,
+``Theta(V * S)`` rows, the memory wall that caps how large a diagram can
+be served.  That slab table is kept as a test oracle
+(:class:`repro.oracles.SlabPointLocator`); this module stores each edge
 ``O(log S)`` times instead: the slabs are the leaves of an implicit
 segment tree (heap-indexed, padded to a power of two), every
 x-monotone edge's slab span ``[i0, i1)`` is split into its canonical
@@ -13,7 +18,7 @@ of one node can meet only at the range's boundary, never cross or
 touch inside it.
 
 A query walks the leaf-to-root path of its slab (``log S`` nodes),
-bisects each node's entry list with *exactly* the slab oracle's
+bisects each node's entry list with *exactly* the slab table's
 comparison arithmetic (same IEEE-754 expressions, same branch
 predicate), and keeps the candidate minimizing the exact float triple
 ``(y at query x, y at the query slab's midline, slope)``.  The union
@@ -29,7 +34,7 @@ point, and the slab table breaks its sort ties the same way, so the
 two structures still agree bitwise.
 
 Build is one sweep: spans by ``searchsorted`` (shared with the slab
-table), an ``O(E log S)`` vectorized canonical decomposition, and one
+oracle), an ``O(E log S)`` vectorized canonical decomposition, and one
 ``lexsort``.  Storage is ``O(E log S)`` worst case — in practice a few
 entries per edge versus the table's hundreds of rows per edge — and a
 query costs ``O(log S)`` bisections of ``O(log E)`` steps each.
@@ -45,9 +50,47 @@ import numpy as np
 from ..geometry.primitives import Point
 from ..geometry.seg_arrangement import SegmentArrangement
 from ..obs.metrics import ENGINE
-from .pointlocation import _edge_slab_spans
 
-__all__ = ["PersistentPlaneLocator", "plane_locate_scalar"]
+__all__ = ["PersistentPlaneLocator", "plane_locate_scalar",
+           "slab_table_rows"]
+
+
+def _edge_slab_spans(arrangement: SegmentArrangement, xs: np.ndarray):
+    """Orient edges x-ascending and find their slab spans ``[i0, i1)``.
+
+    Shared by the merged-slab tree and the slab-table oracle so both
+    structures derive spans with the same arithmetic.  Returns
+    ``(earr, eu, ev, eids, i0, i1)`` where *eids* selects the
+    non-vertical edges and *i0*/*i1* are their slab spans.
+    """
+    earr = arrangement._earr
+    vx = arrangement._vx
+    u0, v0 = earr[:, 0], earr[:, 1]
+    swap = vx[u0] > vx[v0]
+    eu = np.where(swap, v0, u0)
+    ev = np.where(swap, u0, v0)
+    xl, xr = vx[eu], vx[ev]
+    spans = xr > xl
+    eids = np.flatnonzero(spans)
+    # Edge endpoints are arrangement vertices, so their x-coordinates
+    # are slab boundaries: the edge spans slabs [i0, i1).
+    i0 = np.searchsorted(xs, xl[eids])
+    i1 = np.searchsorted(xs, xr[eids])
+    return earr, eu, ev, eids, i0, i1
+
+
+def slab_table_rows(arrangement: SegmentArrangement) -> int:
+    """Row count a slab table over *arrangement* would materialize.
+
+    Computed analytically from the edge spans — no table is built — so
+    ``vpr-info`` and benchmark E28 can report the slab structure's
+    footprint at sizes where materializing it would not fit in memory.
+    """
+    xs = np.unique(arrangement._vx)
+    if len(xs) < 2 or arrangement.num_edges == 0:
+        return 0
+    _, _, _, _, i0, i1 = _edge_slab_spans(arrangement, xs)
+    return int((i1 - i0).sum())
 
 
 def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
@@ -111,10 +154,10 @@ def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
 class PersistentPlaneLocator:
     """Merged-slab point location over a :class:`SegmentArrangement`.
 
-    Drop-in for :class:`~repro.spatial.pointlocation.SlabPointLocator`:
-    same ``locate`` / ``locate_batch`` / ``locate_all`` API, bitwise
-    identical answers, ``O(E log S)`` storage instead of the slab
-    table's ``Theta(V * S)`` rows.  ``locate_batch`` runs on the
+    Same ``locate`` / ``locate_batch`` / ``locate_all`` API as the
+    :class:`~repro.oracles.SlabPointLocator` oracle, bitwise identical
+    answers, ``O(E log S)`` storage instead of the slab table's
+    ``Theta(V * S)`` rows.  ``locate_batch`` runs on the
     selected kernel provider's ``plane_locate`` entry point.
     """
 
@@ -243,7 +286,7 @@ class PersistentPlaneLocator:
 
         Returns an ``(m,)`` integer array of face loop indices, ``-1``
         for the unbounded face — elementwise identical to the slab
-        oracle's :meth:`~SlabPointLocator.locate_batch`.
+        oracle's ``locate_batch``.
         """
         from .batch import as_query_array
         from .kernels import get_provider

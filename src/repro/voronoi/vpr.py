@@ -10,26 +10,21 @@ in ``O(log N + t)``.
 Construction: bisector lines are clipped to a bounding box (chosen to
 contain the query region of interest plus every pairwise midpoint), the
 box boundary is added, and the segment arrangement's bounded faces each get
-their exact probability vector evaluated at an interior point.  Queries go
-through the slab point locator; queries outside the box fall back to the
-direct Eq. (2) sweep, preserving exactness everywhere.
+their exact probability vector evaluated at an interior point.  One
+pipeline does it: pairwise bisector coefficients in one NumPy broadcast,
+normalized-key dedup via a stable ``unique``, the batched line-vs-box clip
+kernel, the vectorized arrangement build, and one
+:meth:`~repro.quantification.batch_exact.BatchExactQuantifier.matrix`
+call labeling every bounded face at once.  Queries go through the
+merged-slab point locator (:mod:`repro.spatial.planelocate`); queries
+outside the box fall back to the direct Eq. (2) sweep, preserving
+exactness everywhere.
 
-Two construction pipelines produce **bitwise-identical** diagrams:
-
-* ``build_mode="vector"`` (default) — pairwise bisector coefficients in one
-  NumPy broadcast, normalized-key dedup via a stable ``unique``, the
-  batched line-vs-box clip kernel, the vectorized arrangement build, and
-  one :meth:`~repro.quantification.batch_exact.BatchExactQuantifier.
-  quantification_vectors` call labeling every bounded face at once;
-* ``build_mode="scalar"`` — the original pure-Python pair loops and
-  per-face sweeps, retained as the reference oracle (and for duck-typed
-  site models outside :class:`~repro.uncertain.discrete.
-  DiscreteUncertainPoint`).
-
-Benchmark E22 measures the build speedup (~an order of magnitude on one
-core at tier-1-feasible sizes); ``tests/test_vectorized_kernels.py``
-asserts identical V/E/F counts and bitwise-equal face vectors between the
-two modes.
+The original pure-Python pair loops and per-face sweeps are kept as a
+test oracle (:class:`repro.oracles.ScalarProbabilisticVoronoiDiagram`).
+Benchmark E22 measures the build speedup over it (~an order of magnitude
+on one core at tier-1-feasible sizes); ``tests/test_vectorized_kernels.py``
+asserts identical V/E/F counts and bitwise-equal face vectors.
 
 This structure is *meant* to be enormous — its ``Theta(N^4)`` size is the
 paper's motivation for the approximation algorithms of Sections 4.2/4.3 —
@@ -40,40 +35,23 @@ so it is only practical for small instances, which is also all the
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.primitives import Point
 from ..geometry.seg_arrangement import SegmentArrangement
-from ..geometry.segments import bisector_line, line_box_clip, \
-    line_box_clip_batch
+from ..geometry.segments import line_box_clip_batch
 from ..obs.metrics import ENGINE
 from ..quantification.batch_exact import BatchExactQuantifier
 from ..quantification.exact_discrete import quantification_vector
 from ..spatial.planelocate import PersistentPlaneLocator, plane_locate_scalar
-from ..spatial.pointlocation import SlabPointLocator
 from ..uncertain.discrete import DiscreteUncertainPoint
 
-__all__ = ["LOCATORS", "ProbabilisticVoronoiDiagram", "SharedPlaneDiagram"]
-
-#: Locator kinds accepted by the diagram (and ``ServiceConfig.locator``).
-#: ``"auto"`` resolves to the output-sensitive merged-slab tree; the
-#: quadratic slab table stays selectable as the bit-pinned oracle.
-LOCATORS = ("auto", "slab", "persistent")
+__all__ = ["ProbabilisticVoronoiDiagram", "SharedPlaneDiagram"]
 
 #: Version tag of the shared-plane array layout (``to_plane_arrays``).
 PLANE_FORMAT_VERSION = 1
-
-_Locator = Union[SlabPointLocator, PersistentPlaneLocator]
-
-
-def resolve_locator(name: str = "auto") -> str:
-    """The locator kind ``"auto"`` (or an explicit name) resolves to."""
-    if name not in LOCATORS:
-        raise ValueError(f"unknown locator {name!r}; "
-                         f"expected one of {LOCATORS}")
-    return "persistent" if name == "auto" else name
 
 
 class ProbabilisticVoronoiDiagram:
@@ -92,10 +70,6 @@ class ProbabilisticVoronoiDiagram:
         data, and *translation invariant*: a cloud far from the origin
         gets the same window shape as the same cloud at the origin.
         Queries outside the window remain exact via the fallback sweep.
-    build_mode:
-        ``"vector"`` (default) builds through the batched NumPy pipeline;
-        ``"scalar"`` forces the pure-Python reference construction.  Both
-        produce bitwise-identical face vectors and identical V/E/F counts.
     quantifier:
         Optional prebuilt :class:`~repro.quantification.batch_exact.
         BatchExactQuantifier` over *points*, reused for face labeling and
@@ -105,18 +79,12 @@ class ProbabilisticVoronoiDiagram:
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
                  box: Optional[Tuple[Point, Point]] = None,
-                 build_mode: str = "vector",
-                 quantifier: Optional[BatchExactQuantifier] = None,
-                 locator: str = "auto") -> None:
+                 quantifier: Optional[BatchExactQuantifier] = None) -> None:
         if not points:
             raise ValueError("need at least one uncertain point")
-        if build_mode not in ("vector", "scalar"):
-            raise ValueError(f"unknown build mode {build_mode!r}")
-        self.locator_kind = resolve_locator(locator)
         ENGINE.inc("vpr.builds")
         t_build = time.perf_counter()
         self.points = list(points)
-        self.build_mode = build_mode
         self._quantifier = quantifier
         sites: List[Point] = []
         for p in self.points:
@@ -145,42 +113,17 @@ class ProbabilisticVoronoiDiagram:
             ((xmax, ymax), (xmin, ymax)),
             ((xmin, ymax), (xmin, ymin)),
         ]
-        if build_mode == "scalar":
-            segments = self._bisector_segments(sites, box)
-            segments.extend(boundary)
-            self.arrangement = SegmentArrangement(segments, mode="scalar")
-        else:
-            sx = np.array([s[0] for s in sites], dtype=np.float64)
-            sy = np.array([s[1] for s in sites], dtype=np.float64)
-            segs = self._bisector_segments_batch(sx, sy, box)
-            rows = np.vstack([segs,
-                              np.array([(a[0], a[1], b[0], b[1])
-                                        for a, b in boundary])])
-            self.arrangement = SegmentArrangement(rows, mode="vector")
-        # The locator — the merged-slab tree by default, or the
-        # Theta(V * S) slab table when ``locator="slab"`` — is built
-        # lazily on first point location; only query workloads need it
-        # (the complexity experiments E10/E17 never pay for it).
-        self._locator: Optional[_Locator] = None
+        self.arrangement = self._build_arrangement(sites, boundary)
+        # The merged-slab locator is built lazily on first point
+        # location; only query workloads need it (the complexity
+        # experiments E10/E17 never pay for it).
+        self._locator: Optional[PersistentPlaneLocator] = None
 
         areas = np.asarray(self.arrangement.face_areas)
         bounded = np.flatnonzero(areas > self.arrangement.tol)
         self._bounded_loops: List[int] = bounded.tolist()
-        n = len(self.points)
         self._interior = self.arrangement.face_interior_array()
-        # Batched face labeling needs the discrete batch engine; scalar
-        # mode — and duck-typed site models outside DiscreteUncertainPoint
-        # — label through the per-face scalar sweep (bitwise-identical
-        # rows either way, per the PR-3 engine guarantee).
-        if build_mode == "vector" and self._all_discrete() \
-                and len(self._interior):
-            self._face_matrix = self._exact_quantifier().matrix(
-                self._interior)
-        else:
-            vectors = [quantification_vector(self.points, (x, y))
-                       for x, y in self._interior.tolist()]
-            self._face_matrix = np.asarray(vectors,
-                                           dtype=np.float64).reshape(-1, n)
+        self._face_matrix = self._label_faces()
         # loop-id -> matrix-row map; the per-face dict views are lazy.
         self._loop_row = np.full(max(len(areas), 1), -1, dtype=np.intp)
         if len(bounded):
@@ -204,20 +147,12 @@ class ProbabilisticVoronoiDiagram:
 
     # ------------------------------------------------------------------
     @property
-    def locator(self) -> _Locator:
-        """The Theorem 4.2 point-location structure (built on first use).
-
-        Kind per ``locator_kind``: the output-sensitive
-        :class:`~repro.spatial.planelocate.PersistentPlaneLocator`
-        (``"persistent"``, the ``"auto"`` default) or the quadratic
-        :class:`~repro.spatial.pointlocation.SlabPointLocator` oracle
-        (``"slab"``); both answer bitwise identically.
-        """
+    def locator(self) -> PersistentPlaneLocator:
+        """The Theorem 4.2 point-location structure (built on first use):
+        the output-sensitive
+        :class:`~repro.spatial.planelocate.PersistentPlaneLocator`."""
         if self._locator is None:
-            if self.locator_kind == "slab":
-                self._locator = SlabPointLocator(self.arrangement)
-            else:
-                self._locator = PersistentPlaneLocator(self.arrangement)
+            self._locator = PersistentPlaneLocator(self.arrangement)
         return self._locator
 
     def locator_stats(self) -> Dict[str, object]:
@@ -235,53 +170,46 @@ class ProbabilisticVoronoiDiagram:
         return self._quantifier
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bisector_segments(sites: List[Point],
-                           box: Tuple[Point, Point]):
-        """Clipped bisectors of all site pairs, deduplicated (scalar).
+    def _build_arrangement(self, sites: List[Point],
+                           boundary: List[Tuple[Point, Point]]
+                           ) -> SegmentArrangement:
+        """The arrangement of the clipped bisectors plus the window."""
+        sx = np.array([s[0] for s in sites], dtype=np.float64)
+        sy = np.array([s[1] for s in sites], dtype=np.float64)
+        segs = self._bisector_segments_batch(sx, sy, self.box)
+        rows = np.vstack([segs, np.array([(a[0], a[1], b[0], b[1])
+                                          for a, b in boundary])])
+        return SegmentArrangement(rows)
 
-        The dedup key is the line's coefficient triple normalized by its
-        max-abs component, rounded to 9 decimals via the shared
-        ``round(v * 1e9) / 1e9`` form, and sign-canonicalized so that the
-        first nonzero component is positive (two opposite-orientation
-        triples describe the same line).  The batched path reproduces
-        every step bitwise.
+    def _label_faces(self) -> np.ndarray:
+        """The ``(F, n)`` probability vectors at the face interiors.
+
+        Discrete models go through the batched Eq. (2) engine; duck-typed
+        site models outside :class:`~repro.uncertain.discrete.
+        DiscreteUncertainPoint` through the per-face scalar sweep
+        (bitwise-identical rows either way).
         """
-        seen = set()
-        segments = []
-        m = len(sites)
-        for a in range(m):
-            for b in range(a + 1, m):
-                p, r = sites[a], sites[b]
-                if p == r:
-                    continue  # coincident sites never swap distance order
-                la, lb, lc = bisector_line(p, r)
-                norm = max(abs(la), abs(lb), abs(lc), 1e-30)
-                ka = round((la / norm) * 1e9) / 1e9 + 0.0
-                kb = round((lb / norm) * 1e9) / 1e9 + 0.0
-                kc = round((lc / norm) * 1e9) / 1e9 + 0.0
-                if ka < 0 or (ka == 0 and
-                              (kb < 0 or (kb == 0 and kc < 0))):
-                    ka, kb, kc = -ka + 0.0, -kb + 0.0, -kc + 0.0
-                key = (ka, kb, kc)
-                if key in seen:
-                    continue
-                seen.add(key)
-                clipped = line_box_clip(la, lb, lc, box)
-                if clipped is not None:
-                    segments.append(clipped)
-        return segments
+        if self._all_discrete() and len(self._interior):
+            return self._exact_quantifier().matrix(self._interior)
+        vectors = [quantification_vector(self.points, (x, y))
+                   for x, y in self._interior.tolist()]
+        return np.asarray(vectors, dtype=np.float64).reshape(
+            -1, len(self.points))
 
     @staticmethod
     def _bisector_segments_batch(sx: np.ndarray, sy: np.ndarray,
                                  box: Tuple[Point, Point]) -> np.ndarray:
         """Clipped bisectors of all site pairs, deduplicated (batched).
 
-        One broadcast computes every pair's coefficients, a stable
-        ``unique`` over the sign-canonicalized normalized keys keeps each
-        line's first pair (the scalar scan order), and the batched clip
-        kernel cuts the survivors to the box — returning an ``(S, 4)``
-        segment array bit-for-bit equal to the scalar list.
+        The dedup key is the line's coefficient triple normalized by its
+        max-abs component, rounded to 9 decimals, and sign-canonicalized
+        so that the first nonzero component is positive (two
+        opposite-orientation triples describe the same line).  One
+        broadcast computes every pair's coefficients, a stable ``unique``
+        over the keys keeps each line's first pair (the scalar oracle's
+        scan order), and the batched clip kernel cuts the survivors to
+        the box — returning an ``(S, 4)`` segment array bit-for-bit equal
+        to the oracle's list.
         """
         pi, pj = np.triu_indices(len(sx), 1)
         px, py = sx[pi], sy[pi]
@@ -379,8 +307,8 @@ class ProbabilisticVoronoiDiagram:
             if self._all_discrete():
                 out[missing] = self._exact_quantifier().matrix(q[missing])
             else:
-                # Duck-typed site models (scalar build mode): same exact
-                # fallback the scalar query() uses, row by row.
+                # Duck-typed site models: same exact fallback the scalar
+                # query() uses, row by row.
                 for j in np.flatnonzero(missing):
                     out[j] = quantification_vector(
                         self.points, (float(q[j, 0]), float(q[j, 1])))
@@ -416,22 +344,15 @@ class ProbabilisticVoronoiDiagram:
         check_plane_arrays` validates — everything a
         :class:`SharedPlaneDiagram` needs to answer queries without
         rebuilding the diagram.  Raises
-        :class:`~repro.spatial.codec.CodecUnsupported` when the diagram
-        cannot be exported: non-discrete site models (no batched
-        fallback engine on the far side) or a ``locator="slab"``
-        diagram (the quadratic table is deliberately not shipped).
+        :class:`~repro.spatial.codec.CodecUnsupported` for non-discrete
+        site models (no batched fallback engine on the far side).
         """
         from ..spatial.codec import CodecUnsupported
 
         if not self._all_discrete():
             raise CodecUnsupported(
                 "shared-plane serving requires discrete uncertain points")
-        if self.locator_kind != "persistent":
-            raise CodecUnsupported(
-                "shared-plane serving requires the persistent locator "
-                f"(this diagram was built with locator={self.locator_kind!r})")
         loc = self.locator
-        assert isinstance(loc, PersistentPlaneLocator)
         ent_row = self._loop_row[loc.ent_loop].astype(np.int64)
         faces = np.ascontiguousarray(self._face_matrix, dtype=np.float64)
         meta = np.array([
@@ -470,8 +391,6 @@ class SharedPlaneDiagram:
     parent does.  The ``Theta(N^4)`` build cost is paid exactly once
     per serving process tree.
     """
-
-    locator_kind = "persistent"
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
                  arrays: Dict[str, np.ndarray], kernel: str = "auto",

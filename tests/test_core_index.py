@@ -47,6 +47,33 @@ class TestConstruction:
         assert not PNNIndex(mixed).all_discrete()
 
 
+NON_FINITE_CALLS = {
+    "delta": lambda index, q: index.delta(q),
+    "nonzero_nn": lambda index, q: index.nonzero_nn(q),
+    "quantify_exact": lambda index, q: index.quantify(q, method="exact"),
+    "top_k": lambda index, q: index.top_k_nn(q, 2),
+    "batch_delta": lambda index, q: index.batch_delta([(0.0, 0.0), q]),
+    "batch_nonzero_nn":
+        lambda index, q: index.batch_nonzero_nn([(0.0, 0.0), q]),
+    "batch_quantify_exact":
+        lambda index, q: index.batch_quantify_exact([(0.0, 0.0), q]),
+}
+
+
+class TestNonFiniteQueries:
+    """NaN / +-inf coordinates are rejected, never answered in silence."""
+
+    @pytest.mark.parametrize("q", [(math.nan, 1.0), (math.inf, 1.0),
+                                   (1.0, -math.inf)])
+    @pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+    def test_rejected(self, call, q):
+        from repro.core.workloads import random_discrete_points
+
+        index = PNNIndex(random_discrete_points(20, k=3, seed=1))
+        with pytest.raises(ValueError, match="finite"):
+            NON_FINITE_CALLS[call](index, q)
+
+
 class TestDelta:
     @pytest.mark.parametrize("maker,seed", [
         (lambda: disk_points(20, 3), 3),

@@ -179,6 +179,35 @@ class TestValidation:
                                  {"q": bad})
             assert status == 400, bad
 
+    @staticmethod
+    def _post_raw(port, body):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request("POST", "/v1/query/quantify_exact", body=body,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    # 1e400 is valid JSON that overflows to inf; NaN / Infinity are
+    # Python's non-standard literals.
+    @pytest.mark.parametrize("point", ["[NaN, 1]", "[1, Infinity]",
+                                       "[-Infinity, 1]", "[1e400, 1]",
+                                       "[1, -1e400]"])
+    def test_non_finite_single_400(self, server, point):
+        status, doc = self._post_raw(server.port,
+                                     f'{{"q": {point}}}'.encode())
+        assert status == 400 and "finite" in doc["error"], doc
+
+    @pytest.mark.parametrize("point", ["[NaN, 1]", "[1e400, 1]"])
+    def test_non_finite_bulk_400(self, server, point):
+        body = f'{{"queries": [[0, 0], {point}, [1, 1]]}}'.encode()
+        status, doc = self._post_raw(server.port, body)
+        assert status == 400 and "finite" in doc["error"], doc
+
     def test_wrong_verb_405(self, server):
         assert _http(server.port, "GET", "/v1/query/delta")[0] == 405
         assert _http(server.port, "POST", "/metrics", {})[0] == 405

@@ -17,9 +17,9 @@ import pytest
 from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line, line_box_clip
 from repro.spatial.kernels import native_available
+from repro.oracles import SlabPointLocator
 from repro.spatial.planelocate import (PersistentPlaneLocator,
                                        plane_locate_scalar)
-from repro.spatial.pointlocation import SlabPointLocator
 
 
 def boxed(segments, box):

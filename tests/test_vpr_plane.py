@@ -6,31 +6,33 @@ replicas (:class:`repro.voronoi.vpr.SharedPlaneDiagram`) — this suite
 holds the contract at every hop: bitwise query parity through
 encode/pickle/decode, loud rejection of malformed or mismatched
 arrays, the worker-side rebuild guard, and the service-level plumbing
-(``ServiceConfig.locator`` validation, plane fan-out with **zero**
-per-worker diagram builds).
+(plane fan-out with **zero** per-worker diagram builds).
 """
 
+import os
 import pickle
-import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.obs.metrics import ENGINE
+from repro.oracles import SlabPointLocator
 from repro.serving.executors.base import IndexReplica
-from repro.serving.service import ServiceConfig
 from repro.spatial.codec import (CodecUnsupported, check_plane_arrays,
                                  plane_from_arrays, plane_to_arrays)
 from repro.uncertain.discrete import DiscreteUncertainPoint
-from repro.voronoi.vpr import (LOCATORS, ProbabilisticVoronoiDiagram,
-                               SharedPlaneDiagram, resolve_locator)
+from repro.voronoi.vpr import ProbabilisticVoronoiDiagram, SharedPlaneDiagram
 
 
-def build_vpr(n=6, k=2, seed=5, locator="persistent"):
+def build_vpr(n=6, k=2, seed=5):
     points = random_discrete_points(n, k, seed=seed, spread=2.0)
-    return points, ProbabilisticVoronoiDiagram(points, locator=locator)
+    return points, ProbabilisticVoronoiDiagram(points)
 
 
 def query_grid(vpr, m=150, seed=31):
@@ -41,27 +43,39 @@ def query_grid(vpr, m=150, seed=31):
         rng.uniform(ymin - 0.5, ymax + 0.5, m)])
 
 
+class TestOracleBoundary:
+    def test_serving_never_imports_the_oracles(self):
+        """The reference oracles are test-only: building a V_Pr and
+        serving quantify_vpr must not import :mod:`repro.oracles`."""
+        code = textwrap.dedent("""
+            import sys
+            import repro
+            import repro.serving
+            from repro.core.workloads import random_discrete_points
+
+            index = repro.PNNIndex(
+                random_discrete_points(4, 2, seed=3, spread=2.0))
+            index.use_vpr(index.build_vpr())
+            with index.serve(workers=0, coalesce=False) as service:
+                row = service.quantify_vpr((1.0, 1.0))
+            assert abs(sum(row.values()) - 1.0) < 1e-9, row
+            assert "repro.oracles" not in sys.modules
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestLocatorSelection:
-    def test_resolve(self):
-        assert resolve_locator("auto") == "persistent"
-        assert resolve_locator("slab") == "slab"
-        assert resolve_locator("persistent") == "persistent"
-        with pytest.raises(ValueError):
-            resolve_locator("bogus")
-
     def test_locators_answer_identically(self):
-        points, tree_vpr = build_vpr(locator="persistent")
-        slab_vpr = ProbabilisticVoronoiDiagram(points, locator="slab")
-        q = query_grid(tree_vpr)
-        got = tree_vpr.query_batch(q)
-        want = slab_vpr.query_batch(q)
+        _, vpr = build_vpr()
+        q = query_grid(vpr)
+        got = vpr.locator.locate_batch(q)
+        want = SlabPointLocator(vpr.arrangement).locate_batch(q)
         assert got.tobytes() == want.tobytes()
-
-    def test_index_selector(self):
-        index = PNNIndex(random_discrete_points(4, 2, seed=3, spread=2.0))
-        vpr = index.build_vpr(locator="slab")
-        assert vpr.locator_kind == "slab"
-        assert index.build_vpr().locator_kind == "persistent"
 
 
 class TestPlaneCodecRoundTrip:
@@ -87,11 +101,6 @@ class TestPlaneCodecRoundTrip:
         assert shared.query((0.5, 0.5)) == [1.0]
         assert shared.query_batch([(0.5, 0.5), (100.0, 100.0)]) \
             .tolist() == [[1.0], [1.0]]
-
-    def test_slab_diagram_refused(self):
-        _, vpr = build_vpr(n=3, locator="slab")
-        with pytest.raises(CodecUnsupported):
-            plane_to_arrays(vpr)
 
     def test_non_discrete_refused(self):
         class DuckPoint:
@@ -189,22 +198,6 @@ class TestWorkerGuards:
             index.cached_vpr()
 
 
-class TestServiceLocatorConfig:
-    def test_validation(self):
-        assert ServiceConfig().locator == "auto"
-        assert ServiceConfig(locator="slab").locator == "slab"
-        with pytest.raises(ValueError, match="locator"):
-            ServiceConfig(locator="bogus")
-        assert set(LOCATORS) == {"auto", "slab", "persistent"}
-
-    def test_locator_steers_index(self):
-        index = PNNIndex(random_discrete_points(3, 2, seed=2, spread=2.0))
-        with index.serve(workers=0, coalesce=False,
-                         locator="slab") as service:
-            assert index.vpr_locator == "slab"
-            assert service.vpr_info()["resolved_locator"] == "slab"
-
-
 class TestSharedPlaneServing:
     def test_process_backend_zero_worker_builds(self):
         index = PNNIndex(random_discrete_points(5, 2, seed=11, spread=2.0))
@@ -232,13 +225,14 @@ class TestSharedPlaneServing:
             assert stats["methods"]["quantify_vpr"]["sharded_calls"] >= 1
 
     def test_no_plane_no_fanout_still_correct(self):
-        """A slab-locator diagram cannot export a plane: quantify_vpr
-        must stay parent-side (no fan-out) and stay bitwise right."""
-        index = PNNIndex(random_discrete_points(4, 2, seed=13, spread=2.0))
-        vpr = index.build_vpr(locator="slab")
-        index.use_vpr(vpr)
-        q = query_grid(vpr, m=40, seed=43)
-        want = index.batch_quantify_vpr(q)
+        """A service started before any diagram is built has no plane to
+        ship: quantify_vpr must stay parent-side (no fan-out) and stay
+        bitwise right."""
+        points = random_discrete_points(4, 2, seed=13, spread=2.0)
+        oracle = PNNIndex(points)
+        q = query_grid(oracle.build_vpr(), m=40, seed=43)
+        want = oracle.batch_quantify_vpr(q)
+        index = PNNIndex(points)
         with index.serve(workers=2, backend="process", coalesce=False,
                          cache_capacity=0, shard_min_batch=8,
                          shard_chunk=8) as service:
