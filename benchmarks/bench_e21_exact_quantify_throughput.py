@@ -11,6 +11,11 @@ assertions:
   loop by ``E21_MIN_SPEEDUP``x (default 5x).  Unlike E20's sharding bar
   this is a pure vectorization gain, so it holds on a 1-core container.
 
+The same test also times ``batch_quantify_exact`` on a NumPy-kernel
+index and records the end-to-end native-over-NumPy ratio
+(``native_over_numpy``; ``null`` on hosts without the native kernel) —
+reported, not gated.
+
 Companion blocks cover the sharded ``quantify_exact`` query kind (bitwise
 identity always; the multi-worker *scaling* bar only on >= 4-core hosts,
 same convention as E20) and the histogram/polygon closed-form kernels
@@ -30,6 +35,7 @@ from _common import best_of, cores, env_float, env_int, gated_speedup, write_jso
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points, rfid_histogram_field
 from repro.serving import ShardExecutor
+from repro.spatial.kernels import resolve_kernel
 from repro.uncertain.polygon import ConvexPolygonUniformPoint
 
 N = env_int("E21_N", 200)
@@ -61,6 +67,13 @@ def test_e21_vectorized_sweep_bitwise_identity_and_throughput():
         lambda: INDEX.batch_quantify_exact(QUERIES))
     assert batched == scalar, \
         "batch_quantify_exact differs from the scalar Eq. (2) sweep"
+    numpy_index = PNNIndex(POINTS, kernel="numpy")
+    numpy_index.batch_quantify_exact(QUERIES[:4])
+    numpy_t, numpy_batched = best_of(
+        lambda: numpy_index.batch_quantify_exact(QUERIES))
+    assert numpy_batched == scalar, \
+        "numpy-kernel batch_quantify_exact differs from the scalar sweep"
+    native = resolve_kernel(INDEX.kernel) == "native"
     speedup = scalar_t / batch_t
     payload = {
         "experiment": "E21",
@@ -70,6 +83,9 @@ def test_e21_vectorized_sweep_bitwise_identity_and_throughput():
         "batch_qps": int(M / batch_t),
         "speedup": round(speedup, 3),
         "min_speedup": MIN_SPEEDUP,
+        "numpy_batch_qps": int(M / numpy_t),
+        "native_over_numpy": (round(numpy_t / batch_t, 3) if native
+                              else None),
         "identical": True,
     }
     write_json("E21_JSON", payload)

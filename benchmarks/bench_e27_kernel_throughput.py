@@ -11,6 +11,14 @@ head-to-head on the two hot-loop shapes the tier was built for —
   it: cache-resident chunks, not one memory-bound mega-matrix);
 * the **Eq. (2) sweep step loop** at the E21 exact-quantification shape
   (sorted ``(m, N)`` distance rows, per-parent survival products);
+* the **fused exact-quantification op** (``quantify_exact``) — distances,
+  prefix select, sweep and CSR rows per query, the op the exact engine
+  actually runs — at the exact-bulk serving shape (``N x K`` sites,
+  centres uniform over [0, 100]^2, sites within +-1 of the centre,
+  queries uniform over the square).  There rows retire within the
+  32-site starting prefix; on the denser E21 shape most rows need ~60
+  sorted sites, widen, and the ratio is lower (~3x; E21 records the
+  end-to-end ``native_over_numpy`` there);
 
 plus the geometry batch kernels (segment intersections, line-box clip)
 and the merged-slab point locator's tree-descent kernel
@@ -28,6 +36,7 @@ and the merged-slab point locator's tree-descent kernel
   ========================= ============================== ===========
   ``distance_matrix``       ``E27_MIN_SPEEDUP``            3x
   ``sweep_eq2``             ``E27_MIN_SPEEDUP``            3x
+  ``quantify_exact``        ``E27_MIN_SPEEDUP``            3x
   ``plane_locate``          ``E27_MIN_SPEEDUP_LOCATE``     1.3x
   ``line_box_clip``         (ungated — workload too small) —
   ``segment_intersections`` (ungated — workload too small) —
@@ -161,6 +170,28 @@ def test_e27_sweep_parity_and_speedup():
         "native Eq. (2) sweep is not bitwise-equal to the NumPy oracle"
     assert done_numpy.all()  # final=True retires every row
     _finish("sweep_eq2", numpy_t, native_t, gated=True)
+
+
+def test_e27_quantify_exact_parity_and_speedup():
+    oracle, native = _providers()
+    points = random_discrete_points(N, K, seed=2026, extent=100.0,
+                                    spread=1.0)
+    quant = BatchExactQuantifier(points, kernel="numpy")
+    qx = RNG.uniform(0.0, 100.0, M)
+    qy = RNG.uniform(0.0, 100.0, M)
+
+    def run(provider):
+        return provider.quantify_exact(qx, qy, quant._sx, quant._sy,
+                                       quant._parent, quant._weight,
+                                       quant._totals, N, 0.0)
+
+    numpy_t, csr_numpy = best_of(lambda: run(oracle))
+    native_t, csr_native = best_of(lambda: run(native))
+    for a, b in zip(csr_numpy, csr_native):
+        assert a.dtype == b.dtype and np.array_equal(a, b), \
+            "native quantify_exact CSR is not bitwise-equal to the oracle"
+    assert csr_numpy[0][-1] > 0
+    _finish("quantify_exact", numpy_t, native_t, gated=True)
 
 
 def test_e27_geometry_and_locator_parity():

@@ -537,8 +537,9 @@ def _kernels() -> int:
         cached = " (cached)" if status.get("cached") else ""
         print(f"  library:          {status['library']}{cached}")
 
-    # Micro self-test: both entry points the E27 benchmark gates, on a
-    # small fixed workload — parity asserted, timings indicative only.
+    # Micro self-test: the distance matrix and the fused exact-quantify
+    # op the exact engine runs, on a small fixed workload — parity
+    # asserted, timings indicative only.
     rng = np.random.default_rng(7)
     qx, qy = rng.uniform(0, 50, 2000), rng.uniform(0, 50, 2000)
     px, py = rng.uniform(0, 50, 600), rng.uniform(0, 50, 600)
@@ -553,20 +554,17 @@ def _kernels() -> int:
         t0 = time.perf_counter()
         d = provider.distance_matrix(qx, qy, px, py)
         t_dist = time.perf_counter() - t0
-        order = np.argsort(d, axis=1, kind="stable")
-        ds = np.take_along_axis(d, order, axis=1)
         t0 = time.perf_counter()
-        res, done = provider.sweep_eq2(ds, parents[order], weights[order],
-                                       totals, 200, 0.0, final=True)
-        t_sweep = time.perf_counter() - t0
-        results[name] = (d, res, done)
+        csr = provider.quantify_exact(qx, qy, px, py, parents, weights,
+                                      totals, 200, 0.0)
+        t_quant = time.perf_counter() - t0
+        results[name] = (d,) + tuple(csr)
         print(f"  {name:>6}: distance_matrix {t_dist * 1e3:7.2f} ms, "
-              f"sweep_eq2 {t_sweep * 1e3:7.2f} ms")
+              f"quantify_exact {t_quant * 1e3:7.2f} ms "
+              f"({int(csr[0][-1])} non-zeros)")
     if len(results) == 2:
-        d_n, r_n, done_n = results["native"]
-        d_o, r_o, done_o = results["numpy"]
-        ok = (np.array_equal(d_n, d_o) and np.array_equal(r_n, r_o)
-              and np.array_equal(done_n, done_o))
+        ok = all(np.array_equal(a, b) for a, b in
+                 zip(results["native"], results["numpy"]))
         print(f"  parity: {'bitwise-identical' if ok else 'MISMATCH'}")
         if not ok:
             return 1

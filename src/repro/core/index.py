@@ -299,14 +299,14 @@ class PNNIndex:
             raise ValueError(
                 "batch_quantify_exact requires discrete distributions; "
                 "use batch_quantify(method='monte_carlo') for mixed models")
-        if tie_tol != 0.0:
-            return BatchExactQuantifier(
-                self.points, tie_tol=tie_tol,  # type: ignore[arg-type]
-                kernel=self.kernel).batch(queries)
+        return self._exact_quantifier().batch(queries, tie_tol=tie_tol)
+
+    def _exact_quantifier(self) -> BatchExactQuantifier:
+        """The cached batch quantifier (sites flattened once per index)."""
         if self._batch_exact is None:
             self._batch_exact = BatchExactQuantifier(
                 self.points, kernel=self.kernel)  # type: ignore[arg-type]
-        return self._batch_exact.batch(queries)
+        return self._batch_exact
 
     def batch_top_k(self, queries, k: int, method: str = "auto",
                     epsilon: float = 0.05, delta: float = 0.05,
@@ -560,9 +560,6 @@ class PNNIndex:
         """
         if not self.all_discrete():
             raise ValueError("V_Pr requires discrete distributions")
-        if self._batch_exact is None:
-            self._batch_exact = BatchExactQuantifier(
-                self.points, kernel=self.kernel)  # type: ignore[arg-type]
         return ProbabilisticVoronoiDiagram(
             self.points, box=box,  # type: ignore[arg-type]
-            quantifier=self._batch_exact)
+            quantifier=self._exact_quantifier())

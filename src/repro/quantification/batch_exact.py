@@ -2,21 +2,28 @@
 
 :mod:`.exact_discrete` answers one query with an ``O(N log N)`` sweep over
 all ``N = sum k_i`` sites in pure Python.  This module answers an
-``(m, 2)`` array of queries through the *same* sweep, vectorized across
-queries: one ``(mc, N)`` distance matrix per chunk (chunks sized to bound
-memory), a stable per-row argsort, and then the sweep step loop — served
-by a pluggable kernel provider (:mod:`repro.spatial.kernels`): the NumPy
-oracle advances all still-active rows one sorted *position* per handful
-of array passes, the native provider runs the identical expression
-sequence row-scalar in compiled C.
+``(m, 2)`` array of queries through the *same* sweep.  The engine only
+flattens the sites once and cuts the queries into memory-bounded row
+chunks; each chunk goes through one kernel-provider call
+(:meth:`~repro.spatial.kernels.KernelProvider.quantify_exact`) that
+computes the distances, orders each row's nearest sites, runs the sweep
+and returns the answers as CSR rows — ``indptr``, parent ids in
+ascending order and their ``pi`` values, zeros dropped.  :meth:`batch`
+turns those into dicts; :meth:`matrix` scatters them into a dense array.
 
-The step loop reproduces the scalar sweep's arithmetic operation for
+Two providers implement the op (:mod:`repro.spatial.kernels`).  The NumPy
+provider is the bitwise oracle: one ``(mc, N)`` distance matrix per
+chunk, an ``argpartition`` + ``lexsort`` prefix per row, and the sweep
+step loop vectorized across rows.  The native provider does the whole
+pipeline per row in one compiled pass.
+
+The sweep reproduces the scalar sweep's arithmetic operation for
 operation, which is what makes the results **bitwise identical** to
 ``quantification_vector``:
 
-* distances use the library's shared ``sqrt(dx*dx + dy*dy)`` form, and the
-  stable argsort orders exact-equal distances by flattened site index —
-  the same order the scalar code's stable ``sorted`` produces;
+* distances use the library's shared ``sqrt(dx*dx + dy*dy)`` form, and
+  sites are ordered by (distance, flattened site index) — the same order
+  the scalar code's stable ``sorted`` produces;
 * per-parent survival factors update by the same sequential subtraction
   (``new = old - w``), with the same count-based *exact zero* once a
   parent's sites are exhausted and the same ``1e-15`` underflow clamp;
@@ -29,41 +36,29 @@ operation, which is what makes the results **bitwise identical** to
 
 Rows retire as soon as their zero counter reaches two (every further
 contribution is exactly zero — the scalar sweep breaks at the same
-moment), and the active set is compacted periodically, so the loop length
-tracks how quickly the two nearest parents exhaust rather than ``N``.
-
-Because of that early exit, the full per-row sort is usually wasted work:
-the sweep consults only a short sorted prefix.  The engine therefore
-partitions each row to its ``K`` nearest sites (``argpartition``), orders
-just that prefix — ``lexsort`` on (distance, flattened site index), which
-reproduces the stable full sort exactly — and sweeps it without flushing
-the final tie group.  A row that retires inside the prefix provably
-computed the full sweep's answer (every complete group it flushed is
-identical, and the truncated final group would have contributed exactly
-zero); the rare rows still live at the prefix end are re-swept with a
-``4x`` wider prefix, falling back to the full sort at ``K >= N``.
+moment), so a row usually consults only a short sorted prefix of its
+sites.  Both providers sweep the ``PREFIX_START`` nearest sites first
+(all of them when there are at most twice as many) without flushing the
+final tie group: a row that retires inside the
+prefix provably computed the full sweep's answer, and the rare rows
+still live at the prefix end are swept wider (counted as
+``exact_sweep.prefix_widenings``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.metrics import ENGINE
 from ..spatial.kernels import get_provider
 from ..uncertain.discrete import DiscreteUncertainPoint
 
 __all__ = ["BatchExactQuantifier"]
 
-# Target element count of the per-chunk (mc, N) distance matrix.  Larger
-# than the batch engine's work-matrix budget: the step loop's Python-level
-# overhead amortizes over the chunk's rows, and an 8 MB matrix is still a
-# single pass of streaming reductions.
+# Row-chunk budget in (rows x sites) elements: it bounds the NumPy
+# oracle's (mc, N) distance matrix and both providers' CSR buffers.
 _CHUNK_ELEMENTS = 1 << 20
-# First sorted-prefix width tried per chunk; widened 4x for rows whose
-# sweep is still live at the prefix end, up to the full site count.
-_PREFIX_START = 256
 
 
 class BatchExactQuantifier:
@@ -74,19 +69,15 @@ class BatchExactQuantifier:
     points:
         Discrete uncertain points (the exact sweep is defined for finite
         site sets; continuous models go through quadrature or estimators).
-    tie_tol:
-        Distances within ``tie_tol`` of a group's first member are
-        processed as one tie group, exactly as in
-        :func:`~repro.quantification.exact_discrete.sweep_quantification`.
     kernel:
-        Kernel provider for the distance matrix and the sweep step loop:
+        Kernel provider for the fused exact-quantification op:
         ``"auto"`` (default), ``"native"``, or ``"numpy"`` — see
         :mod:`repro.spatial.kernels`.  Providers are bitwise-identical,
         so the choice is purely operational.
     """
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
-                 tie_tol: float = 0.0, kernel: str = "auto") -> None:
+                 kernel: str = "auto") -> None:
         if not points:
             raise ValueError("batch quantifier needs at least one point")
         for p in points:
@@ -95,7 +86,6 @@ class BatchExactQuantifier:
                     "exact batch quantification requires discrete "
                     f"distributions, got {type(p).__name__}")
         self.n = len(points)
-        self.tie_tol = float(tie_tol)
         get_provider(kernel)  # validate the name (and fail fast on an
         # explicit "native" request the host cannot serve)
         self.kernel = kernel
@@ -104,8 +94,8 @@ class BatchExactQuantifier:
         parents: List[int] = []
         weights: List[float] = []
         # Flattened parent-major, site-order-within-parent — the order the
-        # scalar sweep builds its site list in, which the stable argsort
-        # below preserves inside tie groups.
+        # scalar sweep builds its site list in, which the (distance, site
+        # index) order preserves inside tie groups.
         for i, p in enumerate(points):
             for (x, y), w in p.sites_with_weights():
                 xs.append(x)
@@ -130,92 +120,60 @@ class BatchExactQuantifier:
         """Query rows per memory-bounded work chunk."""
         return max(16, _CHUNK_ELEMENTS // max(1, self.total_sites))
 
-    def matrix(self, queries) -> np.ndarray:
+    def _csr_chunks(self, q: np.ndarray, tie_tol: float
+                    ) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
+        """``(first row, (indptr, ids, probs))`` per row chunk of *q*."""
+        provider = get_provider(self.kernel)
+        step = self.chunk_size()
+        for lo in range(0, len(q), step):
+            qc = q[lo:lo + step]
+            yield lo, provider.quantify_exact(
+                qc[:, 0], qc[:, 1], self._sx, self._sy, self._parent,
+                self._weight, self._totals, self.n, float(tie_tol))
+
+    def matrix(self, queries, tie_tol: float = 0.0) -> np.ndarray:
         """Dense ``(m, n)`` matrix of exact quantification vectors.
 
         Row ``j`` equals ``quantification_vector(points, queries[j],
-        tie_tol)`` bitwise.  Chunk boundaries never change a row (every
-        reduction is per query), so any chunking concatenates identically.
+        tie_tol)`` bitwise: distances within ``tie_tol`` of a group's
+        first member are processed as one tie group, exactly as in
+        :func:`~repro.quantification.exact_discrete.sweep_quantification`.
+        Chunk boundaries never change a row (every reduction is per
+        query), so any chunking concatenates identically.
         """
         q = self._as_queries(queries)
-        m = len(q)
-        out = np.empty((m, self.n), dtype=np.float64)
-        step = self.chunk_size()
-        for lo in range(0, m, step):
-            out[lo:lo + step] = self._chunk_matrix(q[lo:lo + step])
+        out = np.zeros((len(q), self.n), dtype=np.float64)
+        for lo, (indptr, ids, probs) in self._csr_chunks(q, tie_tol):
+            rows = np.repeat(np.arange(lo, lo + len(indptr) - 1),
+                             np.diff(indptr))
+            out[rows, ids] = probs
         return out
 
     def quantification_vectors(self, queries) -> List[List[float]]:
         """Full probability vectors, one list per query row.
 
-        Row ``j`` equals ``quantification_vector(points, queries[j],
-        tie_tol)`` bitwise — the dense-list twin of :meth:`batch` for
-        callers that want scalar-typed rows.  The ``V_Pr`` builder labels
+        Row ``j`` equals ``quantification_vector(points, queries[j])``
+        bitwise — the dense-list twin of :meth:`batch` for callers that
+        want scalar-typed rows.  The ``V_Pr`` builder labels
         its ``O(N^4)`` arrangement faces through the same :meth:`matrix`
         machinery (one chunked pass instead of per-face scalar sweeps).
         """
         return self.matrix(queries).tolist()
 
-    def batch(self, queries) -> List[Dict[int, float]]:
+    def batch(self, queries, tie_tol: float = 0.0
+              ) -> List[Dict[int, float]]:
         """Sparse ``{i: pi_i(q)}`` dicts (zeros omitted), one per query.
 
         The same container :meth:`PNNIndex.quantify(method="exact")
-        <repro.core.index.PNNIndex.quantify>` returns.
+        <repro.core.index.PNNIndex.quantify>` returns, built straight
+        from the provider's CSR rows; ``tie_tol`` is as in :meth:`matrix`.
         """
-        mat = self.matrix(queries)
-        return [{int(i): float(row[i]) for i in np.flatnonzero(row > 0.0)}
-                for row in mat]
-
-    # ------------------------------------------------------------------
-    # The vectorized sweep core.
-    # ------------------------------------------------------------------
-    def _chunk_matrix(self, qc: np.ndarray) -> np.ndarray:
-        mc = len(qc)
-        result = np.zeros((mc, self.n), dtype=np.float64)
-        if mc == 0:
-            return result
-        big_n = self.total_sites
-        provider = get_provider(self.kernel)
-        # (mc, N) distances in the shared sqrt(dx*dx + dy*dy) form.
-        d = provider.distance_matrix(qc[:, 0], qc[:, 1],
-                                     self._sx, self._sy)
-        pending = np.arange(mc, dtype=np.intp)
-        width = min(big_n, _PREFIX_START)
-        ENGINE.inc("exact_sweep.chunks")
-        first_pass = True
-        while pending.size:
-            if not first_pass:
-                # Rows still live at the prefix end: the sweep re-runs
-                # them 4x wider (observable as prefix pressure).
-                ENGINE.inc("exact_sweep.prefix_widenings")
-            first_pass = False
-            dsub = d[pending] if len(pending) < mc else d
-            if width >= big_n:
-                order = np.argsort(dsub, axis=1, kind="stable")
-                ds = np.take_along_axis(dsub, order, axis=1)
-            else:
-                part = np.argpartition(dsub, width - 1, axis=1)[:, :width]
-                dpref = np.take_along_axis(dsub, part, axis=1)
-                # Primary key distance, secondary flattened site index:
-                # exactly the stable full sort, restricted to the prefix.
-                rank = np.lexsort((part, dpref), axis=-1)
-                order = np.take_along_axis(part, rank, axis=1)
-                ds = np.take_along_axis(dpref, rank, axis=1)
-            res, done = provider.sweep_eq2(ds, self._parent[order],
-                                           self._weight[order],
-                                           self._totals, self.n,
-                                           self.tie_tol,
-                                           final=width >= big_n)
-            finished = np.flatnonzero(done)
-            ENGINE.inc("exact_sweep.rows_retired", int(finished.size))
-            result[pending[finished]] = res[finished]
-            pending = pending[~done]
-            width = min(big_n, width * 4)
-        return result
-
-    # The sweep step loop itself lives behind the kernel-provider
-    # protocol (repro.spatial.kernels): the NumPy implementation —
-    # this module's original ``_sweep``, verbatim — is the bitwise
-    # oracle, and the native provider replays the identical expression
-    # sequence row-scalar in C.  Orchestration above (chunk planning,
-    # prefix ordering, widening, result scatter) is shared by both.
+        q = self._as_queries(queries)
+        out: List[Dict[int, float]] = []
+        for _, (indptr, ids, probs) in self._csr_chunks(q, tie_tol):
+            bounds = indptr.tolist()
+            keys = ids.tolist()
+            vals = probs.tolist()
+            out.extend(dict(zip(keys[a:b], vals[a:b]))
+                       for a, b in zip(bounds, bounds[1:]))
+        return out

@@ -13,11 +13,19 @@ pluggable; this package does the same for *compute*.  One protocol
             bitwise identical)
 ========== ==========================================================
 
-Entry points cover the library's measured single-core hot loops: the
-pairwise distance matrix (E19), the Eq. (2) sweep step loop (E21), the
-batched segment intersection / line-box clip kernels (E22), and the
-merged-slab tree descent (``plane_locate``) of the point locator behind
-``quantify_vpr`` (E28).
+Entry points cover the library's measured single-core hot loops:
+
+* ``distance_matrix`` — the pairwise distance matrix (E19);
+* ``quantify_exact`` — exact Eq. (2) quantification of a query chunk,
+  from distances through the prefix-ordered sweep to sparse CSR rows
+  (E21, E27, and the exact-bulk serving workload); the native provider
+  runs it as one C pass per row;
+* ``sweep_eq2`` — the Eq. (2) sweep step loop over caller-ordered
+  prefixes (the oracle's inner step of ``quantify_exact``);
+* ``segment_intersections`` / ``line_box_clip`` — the batched geometry
+  kernels of the V_Pr build (E22);
+* ``plane_locate`` — the merged-slab tree descent of the point locator
+  behind ``quantify_vpr`` (E28).
 
 Selection mirrors ``backend="auto"``: by name through
 ``kernel="auto"|"native"|"numpy"`` on :class:`~repro.core.index.PNNIndex`
@@ -73,9 +81,7 @@ class KernelProvider(Protocol):
     """The flat-array entry points every provider implements.
 
     All providers return bitwise-identical outputs on the lanes each
-    contract specifies; Python-level orchestration (chunk planning,
-    prefix widening, gather/scatter post-processing) stays with the
-    calling engines and is shared across providers.
+    contract specifies; row chunking stays with the calling engines.
     """
 
     name: str
@@ -88,6 +94,17 @@ class KernelProvider(Protocol):
                   totals: np.ndarray, n: int, tie_tol: float,
                   final: bool) -> Tuple[np.ndarray, np.ndarray]:
         """The Eq. (2) sweep over ``(r, K)`` prefix-ordered columns."""
+
+    def quantify_exact(self, qx: np.ndarray, qy: np.ndarray,
+                       sx: np.ndarray, sy: np.ndarray, parent: np.ndarray,
+                       weight: np.ndarray, totals: np.ndarray, n: int,
+                       tie_tol: float
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact Eq. (2) vectors of a query chunk as CSR rows
+        ``(indptr, ids, probs)``: per row the parents with ``pi > 0`` in
+        ascending order and their values.  Counts the chunk, its
+        widening passes and its rows in the ``exact_sweep.*`` ENGINE
+        counters."""
 
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):
         """Batched segment-pair intersection ``(px, py, hit)``."""

@@ -14,6 +14,22 @@
  *                       errno, and dropping errno lets the compiler
  *                       vectorize the sqrt loops.
  *
+ * Entry points (ctypes bindings in native_provider.py):
+ *
+ *   repro_distance_matrix        pairwise sqrt(dx*dx + dy*dy)
+ *   repro_sweep_eq2              the Eq. (2) sweep over prefix-ordered rows
+ *   repro_quantify_exact         fused exact quantification: distances,
+ *                                stable prefix select and the sweep per
+ *                                row, emitting CSR rows
+ *   repro_segment_intersections  batched segment-pair intersection
+ *   repro_line_box_clip          batched Liang-Barsky line-box clip
+ *   repro_plane_locate           merged-slab tree point location
+ *
+ * The two Eq. (2) entries share one copy of the sweep arithmetic
+ * (sweep_row).  No function keeps static or global mutable state:
+ * ctypes releases the GIL, so callers run these concurrently, and all
+ * scratch is allocated per call.
+ *
  * The file is dependency-free (libc + libm) and compiled on demand by
  * build.py with the system compiler; see that module for cache policy.
  */
@@ -26,28 +42,32 @@
 /* Pairwise distance matrix: out[i, j] = sqrt(dx*dx + dy*dy) — the     */
 /* library's shared distance form (geometry.primitives.dist).          */
 /* ------------------------------------------------------------------ */
+static void distance_row(double xi, double yi, const double *px,
+                         const double *py, int64_t n, double *row)
+{
+    for (int64_t j = 0; j < n; ++j) {
+        const double dx = xi - px[j];
+        const double dy = yi - py[j];
+        row[j] = sqrt(dx * dx + dy * dy);
+    }
+}
+
 void repro_distance_matrix(const double *qx, const double *qy, int64_t m,
                            const double *px, const double *py, int64_t n,
                            double *out)
 {
-    for (int64_t i = 0; i < m; ++i) {
-        const double xi = qx[i];
-        const double yi = qy[i];
-        double *row = out + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const double dx = xi - px[j];
-            const double dy = yi - py[j];
-            row[j] = sqrt(dx * dx + dy * dy);
-        }
-    }
+    for (int64_t i = 0; i < m; ++i)
+        distance_row(qx[i], qy[i], px, py, n, out + i * n);
 }
 
 /* ------------------------------------------------------------------ */
-/* The Eq. (2) sweep step loop (quantification/batch_exact.py).        */
+/* The Eq. (2) sweep over one row's sorted sites — the single copy of  */
+/* the sweep arithmetic, shared by repro_sweep_eq2 and                 */
+/* repro_quantify_exact.                                               */
 /*                                                                     */
-/* Inputs are the (r, width) prefix-ordered distance / parent / weight */
-/* rows; totals[n] the per-parent site counts.  result (r, n) must be  */
-/* zero-initialized by the caller; done[r] receives the retire flags.  */
+/* d / par / w are the row's first `width` sites in (distance, site    */
+/* index) order; totals[n] the per-parent site counts.  Contributions  */
+/* accumulate into res[n], which the caller zero-initializes.          */
 /*                                                                     */
 /* The NumPy sweep vectorizes across rows but is strictly sequential   */
 /* in sorted position within a row: tie groups anchored at their first */
@@ -58,13 +78,16 @@ void repro_distance_matrix(const double *qx, const double *qy, int64_t m,
 /* counter, retirement at zero_count >= 2.  This scalar row loop       */
 /* replays those expressions in the same order, so every row is        */
 /* bitwise the NumPy row.  Rows retired past zero_count >= 2 only      */
-/* ever scatter +0.0 in the oracle, so breaking early is exact.        */
+/* ever scatter +0.0 in the oracle, so breaking early is exact.  With  */
+/* final_pass the prefix is the whole site set and the last tie group  */
+/* is flushed; otherwise a row still live at the prefix end is left    */
+/* incomplete for the caller to re-sweep wider.                        */
 /*                                                                     */
-/* Scratch: survival/seen are n-sized but only the <= width parents a  */
-/* row touches are reset between rows (the touched list), keeping the  */
-/* per-row cost O(width), not O(n).                                    */
+/* Scratch: survival (all 1.0) and seen (all 0) are n-sized; only the  */
+/* <= width parents the row touches (recorded in touched[width]) are   */
+/* restored on exit, keeping the per-row cost O(width), not O(n).      */
 /*                                                                     */
-/* Returns 0, or -1 when scratch allocation failed.                    */
+/* Returns 1 when the row retired (its answer is complete), else 0.    */
 /* ------------------------------------------------------------------ */
 static void sweep_contribute(const int64_t *par, const double *w,
                              const double *survival, double prod,
@@ -85,87 +108,368 @@ static void sweep_contribute(const int64_t *par, const double *w,
     }
 }
 
+static int sweep_row(const double *d, const int64_t *par,
+                     const double *w, int64_t width,
+                     const int64_t *totals, double tie_tol,
+                     int final_pass, double *survival, int64_t *seen,
+                     int64_t *touched, double *res)
+{
+    int64_t n_touched = 0;
+    int64_t zero_count = 0;
+    double prod = 1.0;
+    double anchor = 0.0;
+    int64_t glen = 0;
+    int retired = 0;
+    for (int64_t t = 0; t < width; ++t) {
+        const double dt = d[t];
+        if (t == 0 || dt - anchor > tie_tol) {
+            /* Phase 2 for the completed group [t - glen, t). */
+            sweep_contribute(par, w, survival, prod, zero_count,
+                             t - glen, t, res);
+            anchor = dt;
+            glen = 0;
+        }
+        /* Phase 1: absorb the t-th nearest site. */
+        const int64_t p_t = par[t];
+        const double old = survival[p_t];
+        if (seen[p_t] == 0)
+            touched[n_touched++] = p_t;
+        const int64_t cnt = seen[p_t] + 1;
+        seen[p_t] = cnt;
+        double fresh = old - w[t];
+        if (fresh < 1e-15)
+            fresh = 0.0;
+        if (cnt >= totals[p_t])
+            fresh = 0.0;
+        survival[p_t] = fresh;
+        if (old > 0.0) {
+            if (fresh > 0.0) {
+                prod *= fresh / old;
+            } else {
+                prod /= old;
+                zero_count += 1;
+            }
+        }
+        glen += 1;
+        if (zero_count >= 2) {
+            /* Every further contribution is exactly zero. */
+            retired = 1;
+            break;
+        }
+    }
+    if (!retired && final_pass) {
+        sweep_contribute(par, w, survival, prod, zero_count,
+                         width - glen, width, res);
+    }
+    for (int64_t k = 0; k < n_touched; ++k) {
+        survival[touched[k]] = 1.0;
+        seen[touched[k]] = 0;
+    }
+    return retired;
+}
+
+/* Per-call sweep scratch (never static: ctypes releases the GIL and the
+ * thread backend runs these kernels concurrently). */
+typedef struct {
+    double *survival;
+    int64_t *seen;
+    int64_t *touched;
+} sweep_scratch;
+
+static int scratch_init(sweep_scratch *s, int64_t n, int64_t width)
+{
+    s->survival = (double *)malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    s->seen = (int64_t *)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    s->touched = (int64_t *)malloc((size_t)(width > 0 ? width : 1)
+                                   * sizeof(int64_t));
+    if (s->survival == NULL || s->seen == NULL || s->touched == NULL)
+        return -1;
+    for (int64_t p = 0; p < n; ++p) {
+        s->survival[p] = 1.0;
+        s->seen[p] = 0;
+    }
+    return 0;
+}
+
+static void scratch_free(sweep_scratch *s)
+{
+    free(s->survival);
+    free(s->seen);
+    free(s->touched);
+}
+
+/* ------------------------------------------------------------------ */
+/* The Eq. (2) sweep step loop over caller-ordered prefixes            */
+/* (NumpyProvider.sweep_eq2's contract): (r, width) sorted distance /  */
+/* parent / weight rows in, result (r, n) — zero-initialized by the    */
+/* caller — and done[r] retire flags out.                              */
+/*                                                                     */
+/* Returns 0, or -1 when scratch allocation failed.                    */
+/* ------------------------------------------------------------------ */
 int repro_sweep_eq2(const double *ds, const int64_t *pp, const double *pw,
                     int64_t r, int64_t width, int64_t n,
                     const int64_t *totals, double tie_tol, int final_pass,
                     double *result, uint8_t *done)
 {
-    double *survival = (double *)malloc((size_t)n * sizeof(double));
-    int64_t *seen = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    int64_t *touched = (int64_t *)malloc((size_t)width * sizeof(int64_t));
-    if (survival == NULL || seen == NULL || touched == NULL) {
-        free(survival);
-        free(seen);
-        free(touched);
+    sweep_scratch s;
+    if (scratch_init(&s, n, width) != 0) {
+        scratch_free(&s);
         return -1;
     }
-    for (int64_t p = 0; p < n; ++p) {
-        survival[p] = 1.0;
-        seen[p] = 0;
-    }
     for (int64_t row = 0; row < r; ++row) {
-        const double *d = ds + row * width;
-        const int64_t *par = pp + row * width;
-        const double *w = pw + row * width;
-        double *res = result + row * n;
-        int64_t n_touched = 0;
-        int64_t zero_count = 0;
-        double prod = 1.0;
-        double anchor = 0.0;
-        int64_t glen = 0;
-        int retired = 0;
-        for (int64_t t = 0; t < width; ++t) {
-            const double dt = d[t];
-            if (t == 0 || dt - anchor > tie_tol) {
-                /* Phase 2 for the completed group [t - glen, t). */
-                sweep_contribute(par, w, survival, prod, zero_count,
-                                 t - glen, t, res);
-                anchor = dt;
-                glen = 0;
+        const int retired = sweep_row(ds + row * width, pp + row * width,
+                                      pw + row * width, width, totals,
+                                      tie_tol, final_pass, s.survival,
+                                      s.seen, s.touched, result + row * n);
+        done[row] = (uint8_t)(retired || final_pass);
+    }
+    scratch_free(&s);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused exact quantification (quantification/batch_exact.py): per     */
+/* query row, one pass of                                              */
+/*                                                                     */
+/*   distances -> stable prefix select -> Eq. (2) sweep -> CSR row.    */
+/*                                                                     */
+/* The prefix is the `prefix_start` smallest sites by the key          */
+/* (distance, flattened site index) — exactly the order of NumPy's     */
+/* argpartition + lexsort prefix, i.e. of the stable full sort — kept  */
+/* by insertion into a sorted buffer (sites arrive in index order, so  */
+/* an equal distance always sorts after the buffered ones).  A row     */
+/* that retires inside the prefix has its full answer; a row still     */
+/* live at the prefix end is re-swept on a 4x wider prefix (selected   */
+/* from the rest of the keys and sorted on the same unique key) until  */
+/* it retires or the prefix is the whole site set — the oracle's       */
+/* passes, so stats[0] receives the maximum per-row pass count (the    */
+/* chunk's widening passes) and stats[1] the number of rows answered.  */
+/*                                                                     */
+/* Output rows are CSR: indptr[m + 1], then for each row the parents   */
+/* with pi > 0 in ascending order (ids) and their values (probs).  The */
+/* caller sizes ids / probs for m * n entries, the most m rows hold.   */
+/*                                                                     */
+/* Returns 0, or -1 when scratch allocation failed.                    */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    double d;
+    int64_t j;
+} site_key;
+
+static int key_less(const site_key *x, const site_key *y)
+{
+    return x->d < y->d || (x->d == y->d && x->j < y->j);
+}
+
+/* Hoare partition of keys[lo, hi) (hi - lo >= 2) around a
+ * median-of-three pivot: afterwards keys[lo, *left_end) <= pivot <=
+ * keys[*right_begin, hi), entries in between equal the pivot, and each
+ * part is shorter than the range.  Keys are unique (site index breaks
+ * distance ties). */
+static void partition_keys(site_key *keys, int64_t lo, int64_t hi,
+                           int64_t *left_end, int64_t *right_begin)
+{
+    const site_key *a = &keys[lo];
+    const site_key *b = &keys[lo + (hi - lo) / 2];
+    const site_key *c = &keys[hi - 1];
+    site_key pivot;
+    if (key_less(a, b))
+        pivot = key_less(b, c) ? *b : (key_less(a, c) ? *c : *a);
+    else
+        pivot = key_less(a, c) ? *a : (key_less(b, c) ? *c : *b);
+    int64_t i = lo;
+    int64_t j = hi - 1;
+    while (i <= j) {
+        while (key_less(&keys[i], &pivot))
+            ++i;
+        while (key_less(&pivot, &keys[j]))
+            --j;
+        if (i <= j) {
+            const site_key tmp = keys[i];
+            keys[i] = keys[j];
+            keys[j] = tmp;
+            ++i;
+            --j;
+        }
+    }
+    *left_end = j + 1;
+    *right_begin = i;
+}
+
+/* Reorder keys[lo, hi) so that keys[lo, k) holds its k - lo smallest
+ * entries, in no particular order (quickselect). */
+static void select_smallest(site_key *keys, int64_t lo, int64_t hi,
+                            int64_t k)
+{
+    while (lo < k && k < hi) {
+        int64_t left_end, right_begin;
+        partition_keys(keys, lo, hi, &left_end, &right_begin);
+        if (k <= left_end)
+            hi = left_end;
+        else
+            lo = right_begin;
+    }
+}
+
+/* Sort keys[lo, hi) ascending: quicksort down to short runs (recursing
+ * into the smaller part), then insertion sort. */
+static void sort_keys(site_key *keys, int64_t lo, int64_t hi)
+{
+    while (hi - lo > 16) {
+        int64_t left_end, right_begin;
+        partition_keys(keys, lo, hi, &left_end, &right_begin);
+        if (left_end - lo < hi - right_begin) {
+            sort_keys(keys, lo, left_end);
+            lo = right_begin;
+        } else {
+            sort_keys(keys, right_begin, hi);
+            hi = left_end;
+        }
+    }
+    for (int64_t t = lo + 1; t < hi; ++t) {
+        const site_key key = keys[t];
+        int64_t pos = t;
+        while (pos > lo && key_less(&key, &keys[pos - 1])) {
+            keys[pos] = keys[pos - 1];
+            --pos;
+        }
+        keys[pos] = key;
+    }
+}
+
+int repro_quantify_exact(const double *qx, const double *qy, int64_t m,
+                         const double *sx, const double *sy,
+                         const int64_t *parent, const double *weight,
+                         int64_t big_n, const int64_t *totals, int64_t n,
+                         double tie_tol, int64_t prefix_start,
+                         int64_t *indptr, int64_t *ids, double *probs,
+                         int64_t *stats)
+{
+    const int64_t k0 = prefix_start < big_n ? prefix_start : big_n;
+    sweep_scratch s;
+    double *dist = (double *)malloc((size_t)(big_n > 0 ? big_n : 1)
+                                    * sizeof(double));
+    double *res = (double *)calloc((size_t)(n > 0 ? n : 1), sizeof(double));
+    /* Sorted prefix as site indices (sel) and the gathered sweep rows. */
+    int64_t *sel = (int64_t *)malloc((size_t)(k0 > 0 ? k0 : 1)
+                                     * sizeof(int64_t));
+    double *sd = (double *)malloc((size_t)(big_n > 0 ? big_n : 1)
+                                  * sizeof(double));
+    int64_t *sp = (int64_t *)malloc((size_t)(big_n > 0 ? big_n : 1)
+                                    * sizeof(int64_t));
+    double *sw = (double *)malloc((size_t)(big_n > 0 ? big_n : 1)
+                                  * sizeof(double));
+    site_key *keys = NULL; /* allocated on the first widened row */
+    int rc = scratch_init(&s, n, big_n);
+    if (dist == NULL || res == NULL || sel == NULL || sd == NULL
+            || sp == NULL || sw == NULL)
+        rc = -1;
+    int64_t nnz = 0;
+    int64_t max_widen = 0;
+    int64_t answered = 0;
+    indptr[0] = 0;
+    for (int64_t i = 0; rc == 0 && i < m; ++i) {
+        distance_row(qx[i], qy[i], sx, sy, big_n, dist);
+        /* Stable prefix select by (distance, site index): insertion
+         * sort of the first k0 sites, then each later site that beats
+         * the current k0-th replaces it (sites arrive in index order, so
+         * an equal distance never displaces a buffered site). */
+        for (int64_t j = 0; j < k0; ++j) {
+            const double dj = dist[j];
+            int64_t pos = j;
+            while (pos > 0 && sd[pos - 1] > dj) {
+                sd[pos] = sd[pos - 1];
+                sel[pos] = sel[pos - 1];
+                --pos;
             }
-            /* Phase 1: absorb the t-th nearest site. */
-            const int64_t p_t = par[t];
-            const double old = survival[p_t];
-            if (seen[p_t] == 0)
-                touched[n_touched++] = p_t;
-            const int64_t cnt = seen[p_t] + 1;
-            seen[p_t] = cnt;
-            double fresh = old - w[t];
-            if (fresh < 1e-15)
-                fresh = 0.0;
-            if (cnt >= totals[p_t])
-                fresh = 0.0;
-            survival[p_t] = fresh;
-            if (old > 0.0) {
-                if (fresh > 0.0) {
-                    prod *= fresh / old;
-                } else {
-                    prod /= old;
-                    zero_count += 1;
+            sd[pos] = dj;
+            sel[pos] = j;
+        }
+        double worst = k0 > 0 ? sd[k0 - 1] : 0.0;
+        for (int64_t j = k0; j < big_n; ++j) {
+            const double dj = dist[j];
+            if (!(dj < worst))
+                continue;
+            int64_t pos = k0 - 1;
+            while (pos > 0 && sd[pos - 1] > dj) {
+                sd[pos] = sd[pos - 1];
+                sel[pos] = sel[pos - 1];
+                --pos;
+            }
+            sd[pos] = dj;
+            sel[pos] = j;
+            worst = sd[k0 - 1];
+        }
+        for (int64_t t = 0; t < k0; ++t) {
+            sp[t] = parent[sel[t]];
+            sw[t] = weight[sel[t]];
+        }
+        int64_t widen = 0;
+        int retired = sweep_row(sd, sp, sw, k0, totals, tie_tol,
+                                k0 >= big_n, s.survival, s.seen, s.touched,
+                                res);
+        if (!retired && k0 < big_n) {
+            /* Live at the prefix end: widen 4x per pass, as the oracle
+             * does. */
+            if (keys == NULL) {
+                keys = (site_key *)malloc((size_t)big_n * sizeof(site_key));
+                if (keys == NULL) {
+                    rc = -1;
+                    break;
                 }
             }
-            glen += 1;
-            if (zero_count >= 2) {
-                /* Every further contribution is exactly zero. */
-                retired = 1;
-                break;
+            for (int64_t j = 0; j < big_n; ++j) {
+                keys[j].d = dist[j];
+                keys[j].j = j;
+            }
+            /* keys[0, width) is the sorted prefix swept so far; each
+             * pass selects and sorts the next stretch from the rest. */
+            int64_t width = 0;
+            int64_t next = k0;
+            while (!retired && next < big_n) {
+                next = next * 4 < big_n ? next * 4 : big_n;
+                widen += 1;
+                select_smallest(keys, width, big_n, next);
+                sort_keys(keys, width, next);
+                for (; width < next; ++width) {
+                    sd[width] = keys[width].d;
+                    sp[width] = parent[keys[width].j];
+                    sw[width] = weight[keys[width].j];
+                }
+                for (int64_t p = 0; p < n; ++p)
+                    res[p] = 0.0;
+                retired = sweep_row(sd, sp, sw, width, totals, tie_tol,
+                                    width >= big_n, s.survival, s.seen,
+                                    s.touched, res);
             }
         }
-        if (!retired && final_pass) {
-            /* The prefix is the whole site set: flush the last group. */
-            sweep_contribute(par, w, survival, prod, zero_count,
-                             width - glen, width, res);
+        if (widen > max_widen)
+            max_widen = widen;
+        answered += 1;
+        /* Emit the row's non-zeros in parent order (every other entry
+         * of res is already +0.0) and reset them for the next row. */
+        for (int64_t p = 0; p < n; ++p) {
+            const double v = res[p];
+            if (v > 0.0) {
+                ids[nnz] = p;
+                probs[nnz] = v;
+                ++nnz;
+                res[p] = 0.0;
+            }
         }
-        done[row] = (uint8_t)(retired || final_pass);
-        for (int64_t k = 0; k < n_touched; ++k) {
-            survival[touched[k]] = 1.0;
-            seen[touched[k]] = 0;
-        }
+        indptr[i + 1] = nnz;
     }
-    free(survival);
-    free(seen);
-    free(touched);
-    return 0;
+    stats[0] = max_widen;
+    stats[1] = answered;
+    scratch_free(&s);
+    free(dist);
+    free(res);
+    free(sel);
+    free(sd);
+    free(sp);
+    free(sw);
+    free(keys);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */

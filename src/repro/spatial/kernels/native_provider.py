@@ -3,9 +3,10 @@
 Thin flat-array marshalling over the functions in ``_kernels.c``.  All
 array arguments are coerced to C-contiguous ``float64`` / ``int64``
 (views, not copies, for the already-contiguous arrays the engines pass)
-and handed over as raw pointers; shapes and Python-level orchestration
-(chunking, prefix widening, gather/scatter post-processing) stay with
-the callers, identical for both providers.
+and handed over as raw pointers.  Row chunking stays with the calling
+engines; :meth:`NativeProvider.quantify_exact` runs the whole Eq. (2)
+pipeline of a chunk (distances, prefix select and widening, sweep,
+sparse rows) in one C call.
 
 Construction compiles the library on demand (:mod:`.build`) and raises
 :class:`~repro.spatial.kernels.build.BuildError` when the host cannot —
@@ -23,6 +24,7 @@ import numpy as np
 
 from ...obs.metrics import ENGINE, KERNEL
 from .build import build_library
+from .numpy_provider import first_width
 
 __all__ = ["NativeProvider"]
 
@@ -66,6 +68,11 @@ class NativeProvider:
         lib.repro_sweep_eq2.argtypes = [
             _F64, _I64, _F64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int64, _I64, ctypes.c_double, ctypes.c_int, _F64, _U8]
+        lib.repro_quantify_exact.restype = ctypes.c_int
+        lib.repro_quantify_exact.argtypes = [
+            _F64, _F64, ctypes.c_int64, _F64, _F64, _I64, _F64,
+            ctypes.c_int64, _I64, ctypes.c_int64, ctypes.c_double,
+            ctypes.c_int64, _I64, _I64, _F64, _I64]
         lib.repro_segment_intersections.restype = None
         lib.repro_segment_intersections.argtypes = [
             _F64, _F64, _F64, _F64, _I64, _I64, ctypes.c_int64,
@@ -118,6 +125,43 @@ class NativeProvider:
         elif final:
             done[:] = True
         return result, done
+
+    # ------------------------------------------------------------------
+    def quantify_exact(self, qx, qy, sx, sy, parent, weight, totals,
+                       n: int, tie_tol: float
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self._count("quantify_exact")
+        qx = _f64(qx)
+        qy = _f64(qy)
+        sx = _f64(sx)
+        sy = _f64(sy)
+        parent = _i64(parent)
+        weight = _f64(weight)
+        totals = _i64(totals)
+        m = len(qx)
+        if len(qy) != m or not (len(sx) == len(sy) == len(parent)
+                                == len(weight)) or len(totals) != n:
+            raise ValueError("quantify_exact: mismatched array lengths")
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        # A row holds at most n non-zeros: m * n bounds the chunk.
+        ids = np.empty(m * n, dtype=np.int64)
+        probs = np.empty(m * n, dtype=np.float64)
+        stats = np.zeros(2, dtype=np.int64)
+        ENGINE.inc("exact_sweep.chunks")
+        if m:
+            rc = self._lib.repro_quantify_exact(
+                _pf(qx), _pf(qy), m, _pf(sx), _pf(sy), _pi(parent),
+                _pf(weight), len(sx), _pi(totals), n, float(tie_tol),
+                first_width(len(sx)), _pi(indptr), _pi(ids), _pf(probs),
+                _pi(stats))
+            if rc != 0:
+                raise MemoryError("native quantify scratch allocation "
+                                  "failed")
+            if stats[0]:
+                ENGINE.inc("exact_sweep.prefix_widenings", int(stats[0]))
+            ENGINE.inc("exact_sweep.rows_retired", int(stats[1]))
+        nnz = int(indptr[-1])
+        return indptr, ids[:nnz], probs[:nnz]
 
     # ------------------------------------------------------------------
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):

@@ -3,9 +3,12 @@
 These are the library's original vectorized inner loops, moved verbatim
 behind the :class:`~repro.spatial.kernels.KernelProvider` entry points:
 the chunked distance matrix (``spatial/batch.py``), the Eq. (2) sweep
-step loop (``quantification/batch_exact.py``), the batched segment
-kernels (``geometry/segments.py``), and the merged-slab locator's
-vectorized tree descent (``spatial/planelocate.py``).  Each was
+step loop and the exact-quantification pipeline around it
+(``quantify_exact``: distances, ``argpartition``/``lexsort`` prefix,
+4x widening, sweep, sparse rows — see ``quantification/batch_exact.py``),
+the batched segment kernels (``geometry/segments.py``), and the
+merged-slab locator's vectorized tree descent
+(``spatial/planelocate.py``).  Each was
 individually bit-pinned to its scalar reference implementation by the existing
 property suites; the native provider is in turn bit-pinned to *these*
 (``tests/test_kernels.py``), so the provider choice is purely
@@ -27,6 +30,23 @@ _UNDERFLOW = 1e-15
 # Compaction policy: rewrite the active-row state once at least this many
 # rows are done *and* they are at least half the active set.
 _COMPACT_MIN = 32
+#: First sorted-prefix width ``quantify_exact`` sweeps per row; rows
+#: still live at the prefix end are re-swept 4x wider, up to the full
+#: site count.  Exact-bulk rows retire after a median of 11 sorted sites
+#: (max 28 of 1000).
+PREFIX_START = 32
+
+
+def first_width(big_n: int) -> int:
+    """Width of a row's first sweep pass over ``big_n`` sites.
+
+    :data:`PREFIX_START`, unless that prefix would hold half the sites or
+    more: then one full stable sort is cheaper than the prefix select
+    (NumPy, 29k-row chunks: 1.3 vs 3.0 us a row at 36 sites, 2.9 vs 3.8
+    at 64; the prefix wins from ~100 sites on) and no row widens.  Both
+    providers start here, so they count the same widening passes.
+    """
+    return big_n if big_n <= 2 * PREFIX_START else PREFIX_START
 
 
 class NumpyProvider:
@@ -165,6 +185,70 @@ class NumpyProvider:
                 flush(live, width)
                 finished[rows] = True
         return result, finished
+
+    # ------------------------------------------------------------------
+    def quantify_exact(self, qx: np.ndarray, qy: np.ndarray,
+                       sx: np.ndarray, sy: np.ndarray, parent: np.ndarray,
+                       weight: np.ndarray, totals: np.ndarray, n: int,
+                       tie_tol: float
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact Eq. (2) quantification of one chunk of queries.
+
+        ``sx`` / ``sy`` / ``parent`` / ``weight`` are the flattened sites
+        (parent-major), ``totals`` the per-parent site counts.  Returns
+        CSR rows ``(indptr, ids, probs)``: row ``j`` holds the parents
+        with ``pi > 0`` in ascending order, ``ids[indptr[j]:indptr[j+1]]``,
+        and their values.
+
+        Each row is swept over its :func:`first_width` nearest sites,
+        ordered by ``lexsort`` on (distance, flattened site index) —
+        exactly the stable full sort, restricted to the prefix — without
+        flushing the final tie group.  A row that retires inside the
+        prefix computed the full sweep's answer (every complete group it
+        flushed is identical, and the truncated final group would have
+        contributed exactly zero); rows still live at the prefix end are
+        re-swept 4x wider, falling back to the full stable sort at the
+        whole site count.
+        """
+        self._count("quantify_exact")
+        mc = len(qx)
+        big_n = len(sx)
+        result = np.zeros((mc, n), dtype=np.float64)
+        ENGINE.inc("exact_sweep.chunks")
+        # (mc, N) distances in the shared sqrt(dx*dx + dy*dy) form.
+        d = self.distance_matrix(qx, qy, sx, sy) if mc else None
+        pending = np.arange(mc, dtype=np.intp)
+        width = first_width(big_n)
+        first_pass = True
+        while pending.size:
+            if not first_pass:
+                # Rows still live at the prefix end: the sweep re-runs
+                # them 4x wider (observable as prefix pressure).
+                ENGINE.inc("exact_sweep.prefix_widenings")
+            first_pass = False
+            dsub = d[pending] if len(pending) < mc else d
+            if width >= big_n:
+                order = np.argsort(dsub, axis=1, kind="stable")
+                ds = np.take_along_axis(dsub, order, axis=1)
+            else:
+                part = np.argpartition(dsub, width - 1, axis=1)[:, :width]
+                dpref = np.take_along_axis(dsub, part, axis=1)
+                rank = np.lexsort((part, dpref), axis=-1)
+                order = np.take_along_axis(part, rank, axis=1)
+                ds = np.take_along_axis(dpref, rank, axis=1)
+            res, done = self.sweep_eq2(ds, parent[order], weight[order],
+                                       totals, n, tie_tol,
+                                       final=width >= big_n)
+            finished = np.flatnonzero(done)
+            ENGINE.inc("exact_sweep.rows_retired", int(finished.size))
+            result[pending[finished]] = res[finished]
+            pending = pending[~done]
+            width = min(big_n, width * 4)
+        nonzero = result > 0.0
+        indptr = np.zeros(mc + 1, dtype=np.int64)
+        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+        rows, ids = np.nonzero(nonzero)
+        return indptr, ids.astype(np.int64, copy=False), result[rows, ids]
 
     # ------------------------------------------------------------------
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):

@@ -13,6 +13,9 @@ single-parent degenerate inputs.
 
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,12 +23,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
+from repro.obs.metrics import ENGINE
 from repro.quantification.batch_exact import BatchExactQuantifier
 from repro.quantification.exact_discrete import (
     quantification_vector,
     quantification_vector_naive,
 )
 from repro.spatial.batch import BatchQueryEngine
+from repro.spatial.kernels import native_available
+from repro.spatial.kernels.numpy_provider import PREFIX_START
 from repro.uncertain.discrete import DiscreteUncertainPoint
 from repro.uncertain.disk_uniform import DiskUniformPoint
 from repro.uncertain.histogram import HistogramUncertainPoint
@@ -75,9 +81,14 @@ class TestBatchExactSweep:
     def test_bitwise_equal_to_scalar_sweep(self, n, k_max, seed):
         pts = random_instance(n, k_max, seed)
         qs = queries_for(seed + 1, 6)
-        mat = BatchExactQuantifier(pts).matrix(qs)
+        bq = BatchExactQuantifier(pts)
+        mat = bq.matrix(qs)
+        dicts = bq.batch(qs)
         for j, q in enumerate(qs):
-            assert mat[j].tolist() == quantification_vector(pts, tuple(q))
+            vec = quantification_vector(pts, tuple(q))
+            assert mat[j].tolist() == vec
+            # The dict form is the same CSR row, zeros dropped.
+            assert dicts[j] == {i: v for i, v in enumerate(vec) if v > 0.0}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 10_000))
@@ -132,23 +143,19 @@ class TestBatchExactSweep:
     def test_tie_tol_matches_scalar(self, n, k_max, seed, tie_tol):
         pts = random_instance(n, k_max, seed)
         qs = queries_for(seed + 6, 4)
-        mat = BatchExactQuantifier(pts, tie_tol=tie_tol).matrix(qs)
+        mat = BatchExactQuantifier(pts).matrix(qs, tie_tol=tie_tol)
         for j, q in enumerate(qs):
             assert mat[j].tolist() == \
                 quantification_vector(pts, tuple(q), tie_tol=tie_tol)
 
-    def test_prefix_widening_covers_slow_convergence(self):
-        # Hundreds of co-located parents: no parent exhausts until deep
-        # into the sorted order, forcing the prefix to widen to the full
-        # site set (the 4x-growth fallback path).
-        rng = random.Random(12)
-        pts = []
-        for i in range(300):
-            base = (rng.uniform(0, 0.01), rng.uniform(0, 0.01))
-            far = (100.0 + i, 100.0 - i)
-            pts.append(DiscreteUncertainPoint([base, far], [0.5, 0.5]))
+    def test_prefix_widening_covers_slow_convergence(
+            self, slow_convergence_points):
+        # No parent exhausts until ~300 sites into the sorted order, so
+        # every row outruns the starting prefix and is swept 4x wider,
+        # twice (the widening path).
+        pts = slow_convergence_points
         bq = BatchExactQuantifier(pts)
-        assert bq.total_sites > 256  # really exceeds the first prefix
+        assert bq.total_sites > 4 * PREFIX_START  # beyond the first widening
         qs = queries_for(99, 3, extent=1.0)
         mat = bq.matrix(qs)
         for j, q in enumerate(qs):
@@ -159,7 +166,7 @@ class TestBatchExactSweep:
         bq = BatchExactQuantifier(pts)
         qs = queries_for(22, 37)
         whole = bq.matrix(qs)
-        pieces = np.vstack([bq._chunk_matrix(qs[s:s + 5])
+        pieces = np.vstack([bq.matrix(qs[s:s + 5])
                             for s in range(0, len(qs), 5)])
         assert np.array_equal(whole, pieces)
 
@@ -195,6 +202,83 @@ class TestBatchExactSweep:
         pts = random_instance(3, 2, seed=41)
         assert BatchExactQuantifier(pts).matrix([]).shape == (0, 3)
         assert PNNIndex(pts).batch_quantify_exact([]) == []
+
+
+KERNEL_NAMES = [
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="no C compiler on this host")),
+]
+
+
+class TestFusedProviderPath:
+    """The engine on each provider: one CSR path, dense and dict forms."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_widening_counter_moves(self, kernel, slow_convergence_points):
+        bq = BatchExactQuantifier(slow_convergence_points, kernel=kernel)
+        qs = queries_for(99, 5, extent=1.0)
+        before = {k: ENGINE.get(k) for k in (
+            "exact_sweep.chunks", "exact_sweep.prefix_widenings",
+            "exact_sweep.rows_retired")}
+        bq.batch(qs)
+        assert ENGINE.get("exact_sweep.chunks") == \
+            before["exact_sweep.chunks"] + 1
+        assert ENGINE.get("exact_sweep.prefix_widenings") > \
+            before["exact_sweep.prefix_widenings"]
+        assert ENGINE.get("exact_sweep.rows_retired") == \
+            before["exact_sweep.rows_retired"] + len(qs)
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_concurrent_batches_agree(self, kernel):
+        pts = random_discrete_points(60, 4, seed=17, spread=2.0)
+        bq = BatchExactQuantifier(pts, kernel=kernel)
+        qs = np.random.default_rng(3).uniform(0, 20, (600, 2))
+        expected = bq.batch(qs)
+        barrier = threading.Barrier(4)
+
+        def work(_):
+            barrier.wait(timeout=30)
+            return [bq.batch(qs) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for per_thread in results:
+            for answer in per_thread:
+                assert answer == expected
+
+    def test_tie_tol_reuses_cached_quantifier(self, monkeypatch):
+        pts = random_instance(7, 3, seed=51)
+        index = PNNIndex(pts)
+        qs = queries_for(52, 15)
+        index.batch_quantify_exact(qs)
+        cached = index._batch_exact
+        assert cached is not None
+        built = []
+        init = BatchExactQuantifier.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchExactQuantifier, "__init__", counting_init)
+        for tie_tol in (0.3, 0.05):
+            dicts = index.batch_quantify_exact(qs, tie_tol=tie_tol)
+            assert index._batch_exact is cached
+            for j, q in enumerate(qs):
+                vec = quantification_vector(pts, tuple(q), tie_tol=tie_tol)
+                assert dicts[j] == {i: v for i, v in enumerate(vec)
+                                    if v > 0.0}
+        assert not built  # no engine rebuilt (no re-flattened sites)
+        # The per-call tolerance never sticks to the cached engine.
+        assert index.batch_quantify_exact(qs) == [
+            index.quantify(tuple(q), method="exact") for q in qs]
 
 
 def _random_histogram(rng):

@@ -211,6 +211,142 @@ class TestSweepParity:
 
 
 # ----------------------------------------------------------------------
+# Bitwise parity: the fused exact-quantification op (CSR rows).
+# ----------------------------------------------------------------------
+def _fused(provider, quant, queries, tie_tol=0.0):
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    return provider.quantify_exact(q[:, 0], q[:, 1], quant._sx, quant._sy,
+                                   quant._parent, quant._weight,
+                                   quant._totals, quant.n, tie_tol)
+
+
+def _assert_csr(csr, m, n):
+    """CSR invariants: monotone indptr, ascending ids per row, no zeros."""
+    indptr, ids, probs = csr
+    assert indptr.dtype == np.int64 and ids.dtype == np.int64
+    assert probs.dtype == np.float64
+    assert len(indptr) == m + 1 and indptr[0] == 0
+    assert np.all(np.diff(indptr) >= 0)
+    assert indptr[-1] == len(ids) == len(probs)
+    assert np.all((ids >= 0) & (ids < n))
+    assert np.all(probs > 0.0)
+    for a, b in zip(indptr[:-1], indptr[1:]):
+        assert np.all(np.diff(ids[a:b]) > 0)
+
+
+def _assert_fused_parity(points, queries, tie_tol=0.0):
+    """numpy == native CSR bitwise, equal ENGINE counter deltas."""
+    from repro.obs.metrics import ENGINE
+
+    oracle, native = _providers()
+    quant = BatchExactQuantifier(points, kernel="numpy")
+    names = ("exact_sweep.chunks", "exact_sweep.prefix_widenings",
+             "exact_sweep.rows_retired")
+    out = {}
+    for provider in (oracle, native):
+        before = [ENGINE.get(k) for k in names]
+        with np.errstate(over="ignore", invalid="ignore"):
+            csr = _fused(provider, quant, queries, tie_tol)
+        out[provider.name] = (csr, [ENGINE.get(k) - b
+                                    for k, b in zip(names, before)])
+    (csr_o, counts_o), (csr_n, counts_n) = out["numpy"], out["native"]
+    _assert_csr(csr_o, len(queries), len(points))
+    for a, b in zip(csr_o, csr_n):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert counts_o == counts_n
+    return csr_o, counts_o
+
+
+@needs_native
+class TestQuantifyExactParity:
+    @pytest.mark.parametrize("n,k,m", [(5, 2, 9), (30, 3, 40), (80, 5, 64)])
+    def test_random_workloads(self, n, k, m):
+        points = random_discrete_points(n, k, seed=n + k, spread=2.0)
+        rng = random.Random(m)
+        extent = math.sqrt(n) * 2.2
+        q = [(rng.uniform(0, extent), rng.uniform(0, extent))
+             for _ in range(m)]
+        _assert_fused_parity(points, q)
+
+    def test_tie_heavy_lattice(self):
+        from repro.uncertain.discrete import DiscreteUncertainPoint
+
+        points = []
+        for i in range(4):
+            for j in range(4):
+                sites = [(float(i + di), float(j + dj))
+                         for di in (0, 1) for dj in (0, 1)]
+                points.append(DiscreteUncertainPoint(
+                    sites, [0.25] * 4, normalize=False))
+        q = [(float(x), float(y)) for x in range(5) for y in range(5)]
+        q += [(x + 0.5, y + 0.5) for x in range(4) for y in range(4)]
+        _assert_fused_parity(points, q)
+
+    @pytest.mark.parametrize("tie_tol", [1e-9, 0.05, 0.4])
+    def test_tie_tol(self, tie_tol):
+        points = random_discrete_points(40, 3, seed=5, spread=2.0)
+        rng = random.Random(3)
+        q = [(rng.uniform(0, 14), rng.uniform(0, 14)) for _ in range(50)]
+        _assert_fused_parity(points, q, tie_tol)
+
+    def test_single_site_points(self):
+        from repro.uncertain.discrete import DiscreteUncertainPoint
+
+        rng = random.Random(9)
+        points = [DiscreteUncertainPoint(
+            [(rng.uniform(0, 10), rng.uniform(0, 10))], [1.0])
+            for _ in range(50)]
+        q = [(rng.uniform(-1, 11), rng.uniform(-1, 11)) for _ in range(40)]
+        (indptr, ids, probs), _ = _assert_fused_parity(points, q)
+        # k = 1 certain points: the nearest one takes all the mass.
+        assert np.array_equal(np.diff(indptr), np.ones(40, dtype=np.int64))
+
+    def test_near_zero_weights(self):
+        from repro.uncertain.discrete import DiscreteUncertainPoint
+
+        rng = random.Random(4)
+        points = []
+        for _ in range(20):
+            sites = [(rng.uniform(0, 8), rng.uniform(0, 8))
+                     for _ in range(3)]
+            points.append(DiscreteUncertainPoint(
+                sites, [1e-18, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0)]))
+        q = [(rng.uniform(0, 8), rng.uniform(0, 8)) for _ in range(60)]
+        _assert_fused_parity(points, q)
+
+    def test_overflowing_distances(self):
+        # Distances overflow to inf: every site ties at +inf, so the
+        # whole site set is one tie group (inf - inf is NaN, never > tol).
+        points = random_discrete_points(12, 3, seed=2, spread=2.0)
+        q = [(1e155, 1e155), (1e200, -1e200), (-1e300, 3.0), (1e154, 0.7e154)]
+        _assert_fused_parity(points, q)
+
+    def test_empty_batch(self):
+        points = random_discrete_points(5, 2, seed=1)
+        (indptr, ids, probs), counts = _assert_fused_parity(points, [])
+        assert indptr.tolist() == [0] and ids.size == probs.size == 0
+        assert counts == [1, 0, 0]
+
+    def test_prefix_widening(self, slow_convergence_points):
+        # Rows outrun the starting prefix, so the native widening path
+        # runs (several 4x passes).
+        rng = random.Random(13)
+        q = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(6)]
+        q += [(0.005, 0.005), (150.0, 50.0)]
+        _, counts = _assert_fused_parity(slow_convergence_points, q)
+        assert counts[1] >= 2  # widening passes in the chunk
+
+    def test_kernel_call_counted(self):
+        points = random_discrete_points(5, 2, seed=1)
+        quant = BatchExactQuantifier(points, kernel="numpy")
+        for provider in _providers():
+            key = f"{provider.name}:quantify_exact"
+            before = kernel_counters().get(key, 0)
+            _fused(provider, quant, [(1.0, 2.0)])
+            assert kernel_counters()[key] == before + 1
+
+
+# ----------------------------------------------------------------------
 # Bitwise parity: geometry batch kernels.
 # ----------------------------------------------------------------------
 def _bisector_batch(sites):
